@@ -21,10 +21,10 @@ BENCH_PROFILES ?=
 COVER_OUT ?= cover.out
 COVER_FLOOR ?= 75.0
 
-# Fuzz-smoke budget for the internal/sim engine harness.
+# Fuzz-smoke budget, per fuzz target.
 FUZZTIME ?= 30s
 
-.PHONY: all build test bench bench-capture bench-check vet fmt fmt-check smoke catad-smoke policies-smoke opensys-smoke fuzz-smoke cover cover-check lint docs-check ci
+.PHONY: all build test bench bench-capture bench-check vet fmt fmt-check smoke catad-smoke opensys-smoke fuzz-smoke cover cover-check lint docs-check ci
 
 all: build
 
@@ -79,13 +79,6 @@ smoke:
 catad-smoke:
 	bash scripts/catad-smoke.sh
 
-# Exercises the policy registry end to end through catad: lists
-# /v1/policies (AMTHA with typed params must be there), submits a run
-# and a sweep by parameterized spec string, and requires structured
-# 400s for hostile specs.
-policies-smoke:
-	bash scripts/policies-smoke.sh
-
 # Exercises the open-system traffic path end to end: the seeded
 # determinism, overload shedding and report-shape tests, plus one real
 # catasim -arrivals run.
@@ -95,10 +88,14 @@ opensys-smoke:
 		-policy CATA -fast 8 -cores 8 \
 		-arrivals 'poisson:lambda=2000,jobs=20,deadline=5ms,cap=4,window=10ms'
 
-# Runs the internal/sim engine fuzz harness (arena/heap invariants vs a
-# reference engine) for a bounded budget.
+# Runs each fuzz target for a bounded budget: the internal/sim engine
+# harness (arena/heap invariants vs a reference engine) and the
+# internal/spec parser (no panics, canonical-form round trips, registry
+# acceptance unchanged by canonicalization). go test -fuzz takes one
+# package at a time.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/spec
 
 # Captures a statement-coverage profile across every package.
 cover:
@@ -128,6 +125,6 @@ docs-check:
 # tool installs (lint degrades gracefully when staticcheck/govulncheck
 # are absent). Short fuzz budget and the portable bench gate keep it
 # runnable on any hardware.
-ci: fmt-check build lint test smoke catad-smoke policies-smoke cover-check docs-check
+ci: fmt-check build lint test smoke catad-smoke cover-check docs-check
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-check BENCH_GATE=portable

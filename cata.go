@@ -237,7 +237,9 @@ type RunConfig struct {
 	// Poisson) or interval (fixed gap), jobs (arrival count), deadline
 	// (per-job response-time SLO), cap (max in-system jobs; arrivals
 	// beyond it are shed) and window (per-window percentile reporting).
-	// The Result then carries Open. See ValidateArrivals.
+	// The Result then carries Open. Like the workload and policy specs,
+	// the arrival spec is validated before anything runs (see Validate);
+	// catad rejects a bad one at admission.
 	Arrivals string `json:"arrivals,omitempty"`
 	// Trace asks the service to record the run's full flight recording —
 	// task spans, per-core frequency and power-vs-budget counter tracks,
@@ -349,7 +351,33 @@ type OpenWindow struct {
 
 // ValidateArrivals checks a RunConfig.Arrivals spec string without
 // running anything, so services can reject malformed specs at admission.
-func ValidateArrivals(spec string) error { return exp.ValidateArrivals(spec) }
+func ValidateArrivals(spec string) error {
+	_, err := opensys.Parse(spec)
+	return err
+}
+
+// Validate checks every spec the config carries — the workload (unless
+// Program is set), the policy and the arrival process — against its
+// registry: the name and every parameter's key, kind and bounds, without
+// building or running anything. catad runs it on each config at
+// admission. The error names the offending spec and parameter when one
+// is at fault.
+func (cfg RunConfig) Validate() error {
+	if cfg.Program == nil {
+		if err := workloads.Validate(cfg.Workload); err != nil {
+			return err
+		}
+	}
+	if cfg.Policy != "" {
+		if err := ValidatePolicy(string(cfg.Policy)); err != nil {
+			return err
+		}
+	}
+	if cfg.Arrivals != "" {
+		return ValidateArrivals(cfg.Arrivals)
+	}
+	return nil
+}
 
 func toDuration(t sim.Time) time.Duration {
 	return time.Duration(int64(t) / int64(sim.Nanosecond))

@@ -329,6 +329,30 @@ func TestPolicySpecsPublic(t *testing.T) {
 	}
 }
 
+// TestRunConfigValidate: Validate checks every spec a config carries —
+// workload, policy and arrival process — without running anything, and
+// a custom Program stands in for the workload spec.
+func TestRunConfigValidate(t *testing.T) {
+	good := RunConfig{Workload: "layered:width=4", Policy: "cats+bl:theta=0.5", Arrivals: "poisson:lambda=2000,jobs=4"}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("Validate(%+v): %v", good, err)
+	}
+	if err := (RunConfig{Program: NewProgram("custom")}).Validate(); err != nil {
+		t.Fatalf("custom program: %v", err)
+	}
+	for _, bad := range []RunConfig{
+		{},
+		{Workload: "layered:dur=NaN"},
+		{Workload: "dedup", Policy: "AMTHA:tiebreak=bogus"},
+		{Workload: "dedup", Arrivals: "poisson:lambda=NaN"},
+		{Workload: "dedup", Arrivals: "fixed:interval=1ms,lambda=5"},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate(%+v) accepted a bad config", bad)
+		}
+	}
+}
+
 // TestPolicyDocsDescribeParams: PolicyDocs carries the typed parameter
 // docs, and every documented label parses back to its bare policy.
 func TestPolicyDocsDescribeParams(t *testing.T) {

@@ -3,6 +3,9 @@
 // bounded worker pool with a FIFO admission queue (shedding overload
 // with 429s), streams per-job progress over SSE, and serves repeated
 // requests for identical specs from a content-addressed result cache.
+// Every submitted config's workload, policy and arrival specs are
+// validated at admission; a bad one is answered with a 400 naming the
+// spec and the offending parameter, before any job is queued.
 //
 // Endpoints:
 //

@@ -50,6 +50,10 @@
 //	cata.Run(cata.RunConfig{Workload: "layered:seed=7,width=16,depth=32", ...})
 //	cata.Run(cata.RunConfig{Workload: "trace:file=capture.json", ...})
 //
+// Workload, policy and arrival specs share one grammar with typed,
+// bounded parameters; RunConfig.Validate checks all three without
+// running anything, which is how catad rejects a bad spec at admission.
+//
 // ExportTrace writes any workload as a replayable JSON trace (replaying
 // reproduces the original run exactly), and ExportDOT writes the TDG as
 // Graphviz DOT with costs embedded, re-importable as the "dot" workload.

@@ -15,14 +15,6 @@ import (
 	"cata/internal/workloads"
 )
 
-// ValidateArrivals checks an arrival-process spec string, for services
-// that want to reject bad specs at admission time instead of at run
-// time.
-func ValidateArrivals(spec string) error {
-	_, err := opensys.Parse(spec)
-	return err
-}
-
 // runOpen executes one open-system traffic run. spec has defaults
 // applied.
 func runOpen(spec RunSpec) (Measurement, error) {

@@ -2,8 +2,12 @@ package exp
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
+
+	"cata/internal/opensys"
+	"cata/internal/spec"
 )
 
 // openSpec is the cheap open-system configuration the tests share.
@@ -109,18 +113,24 @@ func TestOpenRunOverload(t *testing.T) {
 }
 
 // TestOpenRunBadSpecs ensures malformed arrival specs fail loudly with
-// the spec in the message, and that ValidateArrivals agrees with Run.
+// the spec error intact, and that opensys.Parse agrees with Run.
 func TestOpenRunBadSpecs(t *testing.T) {
-	for _, bad := range []string{"poisson", "poisson:lambda=-1", "burst:rate=9"} {
-		if err := ValidateArrivals(bad); err == nil {
-			t.Errorf("ValidateArrivals(%q) passed, want error", bad)
+	for _, bad := range []string{"poisson", "poisson:lambda=-1", "burst:rate=9", "poisson:lambda=NaN"} {
+		if _, err := opensys.Parse(bad); err == nil {
+			t.Errorf("opensys.Parse(%q) passed, want error", bad)
 		}
 		_, err := Run(openSpec(bad))
+		var se *spec.Error
 		if err == nil {
 			t.Errorf("Run with arrivals %q succeeded, want error", bad)
-		} else if !strings.Contains(err.Error(), "opensys") {
-			t.Errorf("Run error for %q lost the opensys cause: %v", bad, err)
+		} else if !errors.As(err, &se) || se.Component != "arrivals" {
+			t.Errorf("Run error for %q lost the arrival-spec cause: %v", bad, err)
 		}
+	}
+	// A well-formed rate this small draws infinite gaps, and the schedule
+	// overflows simulated time: the run must fail, not panic the engine.
+	if _, err := Run(openSpec("poisson:lambda=1e-300,jobs=2")); err == nil {
+		t.Error("arrival schedule overflowing simulated time ran")
 	}
 }
 

@@ -47,7 +47,7 @@ type RunSpec struct {
 	// Arrivals, when non-empty, switches the run to open-system traffic
 	// mode: the workload becomes a per-job DAG template instantiated by
 	// the arrival process the spec describes (see internal/opensys for
-	// the grammar, e.g. "poisson:lambda=2000,jobs=40,deadline=5ms").
+	// the parameters, e.g. "poisson:lambda=2000,jobs=40,deadline=5ms").
 	// The harvested Measurement carries the response-time Report in
 	// Open; Makespan is the time the last job drained.
 	Arrivals string

@@ -7,8 +7,8 @@
 // ROADMAP's north star needs — what tail latency does a stream of jobs
 // see on a shared machine under each policy.
 //
-// An arrival process is written as a spec string, mirroring the
-// workload registry's grammar:
+// An arrival process is written as a spec string in the grammar every
+// registry shares (internal/spec):
 //
 //	poisson:lambda=2000                 Poisson arrivals, λ jobs/second
 //	fixed:interval=500us                fixed interarrival gap
@@ -17,7 +17,8 @@
 // deadline=D (per-job response-time SLO, e.g. 5ms; 0 disables),
 // cap=N (max jobs in system; arrivals beyond it are shed; 0 means
 // unlimited) and window=D (report per-window percentiles at this
-// granularity; 0 disables). Durations use Go duration syntax.
+// granularity; 0 disables). Durations use Go duration syntax. Each kind
+// accepts only its own rate parameter.
 // All randomness flows from internal/xrand streams, so a (spec, seed)
 // pair always yields the identical arrival schedule.
 package opensys
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"cata/internal/sim"
+	"cata/internal/spec"
 	"cata/internal/xrand"
 )
 
@@ -62,92 +64,51 @@ type Process struct {
 	Window sim.Time
 }
 
-// Parse parses an arrival-process spec string.
-func Parse(spec string) (Process, error) {
-	kind, rest, hasParams := strings.Cut(spec, ":")
-	kind = strings.TrimSpace(kind)
-	p := Process{Kind: kind, Jobs: 16}
-	if kind != KindPoisson && kind != KindFixed {
-		return Process{}, fmt.Errorf("opensys: unknown arrival process %q in %q (want %s or %s)",
-			kind, spec, KindPoisson, KindFixed)
-	}
-	if hasParams && strings.TrimSpace(rest) == "" {
-		return Process{}, fmt.Errorf("opensys: spec %q has a ':' but no parameters", spec)
-	}
-	seen := map[string]bool{}
-	if hasParams {
-		for _, kv := range strings.Split(rest, ",") {
-			key, val, ok := strings.Cut(kv, "=")
-			key = strings.TrimSpace(key)
-			val = strings.TrimSpace(val)
-			if !ok || key == "" || val == "" {
-				return Process{}, fmt.Errorf("opensys: bad parameter %q in %q (want key=val)", kv, spec)
-			}
-			if seen[key] {
-				return Process{}, fmt.Errorf("opensys: duplicate parameter %q in %q", key, spec)
-			}
-			seen[key] = true
-			var err error
-			switch key {
-			case "lambda":
-				_, err = fmt.Sscanf(val, "%g", &p.Lambda)
-			case "interval":
-				p.Interval, err = parseDuration(val)
-			case "jobs":
-				_, err = fmt.Sscanf(val, "%d", &p.Jobs)
-			case "deadline":
-				p.Deadline, err = parseDuration(val)
-			case "cap":
-				_, err = fmt.Sscanf(val, "%d", &p.Cap)
-			case "window":
-				p.Window, err = parseDuration(val)
-			default:
-				return Process{}, fmt.Errorf("opensys: unknown parameter %q in %q", key, spec)
-			}
-			if err != nil {
-				return Process{}, fmt.Errorf("opensys: parameter %s=%q in %q: %v", key, val, spec, err)
-			}
-		}
-	}
-	if err := p.Validate(); err != nil {
+// commonDocs declare the parameters every process kind accepts.
+var commonDocs = []spec.ParamDoc{
+	{Key: "jobs", Kind: spec.Int, Default: "16", Help: "number of arrivals", Min: 1},
+	{Key: "deadline", Kind: spec.Duration, Default: "0 (off)", Help: "per-job response-time SLO"},
+	{Key: "cap", Kind: spec.Int, Default: "0 (unlimited)", Help: "max in-system jobs; arrivals beyond it are shed"},
+	{Key: "window", Kind: spec.Duration, Default: "0 (off)", Help: "per-window percentile granularity"},
+}
+
+// kindDocs declare each process kind's own, required rate parameter.
+var kindDocs = map[string][]spec.ParamDoc{
+	KindPoisson: {{Key: "lambda", Kind: spec.Float, Default: "(required)", Help: "arrival rate in jobs/second",
+		Required: true, MinExclusive: true}},
+	KindFixed: {{Key: "interval", Kind: spec.Duration, Default: "(required)", Help: "interarrival gap",
+		Required: true, MinExclusive: true}},
+}
+
+// Parse parses an arrival-process spec string. The error is a
+// *spec.Error naming the offending parameter when one is at fault.
+func Parse(s string) (Process, error) {
+	sp, err := spec.Parse("arrivals", s)
+	if err != nil {
 		return Process{}, err
 	}
-	return p, nil
+	docs, ok := kindDocs[sp.Name]
+	if !ok {
+		return Process{}, sp.Errorf("", "unknown arrival process (want %s or %s)", KindPoisson, KindFixed)
+	}
+	if err := sp.Check(docs, commonDocs); err != nil {
+		return Process{}, err
+	}
+	p := sp.Params
+	return Process{
+		Kind:     sp.Name,
+		Lambda:   p.Float("lambda", 0),
+		Interval: simTime(p.Duration("interval", 0)),
+		Jobs:     p.Int("jobs", 16),
+		Deadline: simTime(p.Duration("deadline", 0)),
+		Cap:      p.Int("cap", 0),
+		Window:   simTime(p.Duration("window", 0)),
+	}, nil
 }
 
-// parseDuration converts a Go duration string to simulated time.
-func parseDuration(s string) (sim.Time, error) {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, err
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("negative duration %v", d)
-	}
-	return sim.Time(d.Nanoseconds()) * sim.Nanosecond, nil
-}
-
-// Validate reports structural errors in the process.
-func (p Process) Validate() error {
-	switch p.Kind {
-	case KindPoisson:
-		if p.Lambda <= 0 {
-			return fmt.Errorf("opensys: poisson arrivals need lambda > 0 (jobs/second)")
-		}
-	case KindFixed:
-		if p.Interval <= 0 {
-			return fmt.Errorf("opensys: fixed arrivals need interval > 0")
-		}
-	default:
-		return fmt.Errorf("opensys: unknown arrival process kind %q", p.Kind)
-	}
-	if p.Jobs < 1 {
-		return fmt.Errorf("opensys: jobs must be >= 1, got %d", p.Jobs)
-	}
-	if p.Deadline < 0 || p.Window < 0 || p.Cap < 0 {
-		return fmt.Errorf("opensys: negative parameter in %+v", p)
-	}
-	return nil
+// simTime converts a wall-clock duration to simulated time.
+func simTime(d time.Duration) sim.Time {
+	return sim.Time(d.Nanoseconds()) * sim.Nanosecond
 }
 
 // String renders the process in canonical spec form: kind, then the

@@ -1,9 +1,11 @@
 package opensys
 
 import (
+	"errors"
 	"testing"
 
 	"cata/internal/sim"
+	"cata/internal/spec"
 )
 
 func TestParse(t *testing.T) {
@@ -36,24 +38,36 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	specs := []string{
-		"",                                  // no kind
-		"uniform:lo=1,hi=2",                 // unknown kind
-		"poisson",                           // missing lambda
-		"poisson:",                          // colon without params
-		"poisson:lambda=0",                  // non-positive rate
-		"poisson:lambda=2000,lambda=3",      // duplicate key
-		"poisson:lambda=2000,burst=4",       // unknown key
-		"poisson:lambda=2000,jobs=0",        // jobs < 1
-		"poisson:lambda=2000,jobs",          // not key=val
-		"poisson:lambda=2000,deadline=nope", // bad duration
-		"poisson:lambda=2000,deadline=-5ms", // negative duration
-		"fixed:interval=0s",                 // non-positive interval
-		"fixed:lambda=2000",                 // rate on fixed process
-	}
-	for _, s := range specs {
-		if _, err := Parse(s); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", s)
+	for _, tc := range []struct{ spec, key string }{
+		{"", ""},                                          // no kind
+		{"uniform:lo=1,hi=2", ""},                         // unknown kind
+		{"poisson", "lambda"},                             // missing lambda
+		{"poisson:", ""},                                  // colon without params
+		{"poisson:lambda=0", "lambda"},                    // non-positive rate
+		{"poisson:lambda=NaN", "lambda"},                  // NaN passes every comparison
+		{"poisson:lambda=Inf", "lambda"},                  // infinite rate
+		{"poisson:lambda=3e3x", "lambda"},                 // trailing junk
+		{"poisson:lambda=2000,lambda=3", "lambda"},        // duplicate key
+		{"poisson:lambda=2000,burst=4", "burst"},          // unknown key
+		{"poisson:lambda=2000,jobs=0", "jobs"},            // jobs < 1
+		{"poisson:lambda=2000,jobs=10abc", "jobs"},        // trailing junk
+		{"poisson:lambda=2000,jobs=1.5", "jobs"},          // not an integer
+		{"poisson:lambda=2000,jobs", ""},                  // not key=val
+		{"poisson:lambda=2000,jobs=", "jobs"},             // empty value
+		{"poisson:lambda=2000,cap=3q", "cap"},             // trailing junk
+		{"poisson:lambda=2000,cap=-1", "cap"},             // negative cap
+		{"poisson:lambda=2000,deadline=nope", "deadline"}, // bad duration
+		{"poisson:lambda=2000,deadline=-5ms", "deadline"}, // negative duration
+		{"poisson:lambda=2000,window=-1s", "window"},      // negative duration
+		{"poisson:lambda=2000,interval=1ms", "interval"},  // gap on Poisson process
+		{"fixed:interval=0s", "interval"},                 // non-positive interval
+		{"fixed:lambda=2000", "lambda"},                   // rate on fixed process
+		{"fixed:interval=1ms,lambda=5", "lambda"},         // rate on fixed process
+	} {
+		_, err := Parse(tc.spec)
+		var se *spec.Error
+		if !errors.As(err, &se) || se.Component != "arrivals" || se.Key != tc.key {
+			t.Errorf("Parse(%q) = %v, want an arrivals spec error on key %q", tc.spec, err, tc.key)
 		}
 	}
 }

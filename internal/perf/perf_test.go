@@ -196,3 +196,33 @@ func TestSuiteQuick(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureAllocsIgnoreSetup: a benchmark's fixed set-up allocations
+// cancel out of allocs/op even when the growth loop settles at n = 1
+// (a bench time of 1ns forces it, the way a host stall can at a 1ms
+// bench time), while real per-op allocations are still counted.
+func TestMeasureAllocsIgnoreSetup(t *testing.T) {
+	var sink [][]byte
+	bench := func(perOp int) benchFunc {
+		return func(n int) (int64, error) {
+			sink = nil
+			for i := 0; i < 4096; i++ { // set-up, like engine/deep-queue's standing queue
+				sink = append(sink, make([]byte, 64))
+			}
+			for i := 0; i < n*perOp; i++ {
+				sink[i%len(sink)] = make([]byte, 64)
+			}
+			return 0, nil
+		}
+	}
+	for _, perOp := range []int{0, 8} {
+		res, err := measure("setup", bench(perOp), time.Nanosecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != 1 || res.AllocsPerOp != int64(perOp) {
+			t.Errorf("perOp=%d: %d iterations, %d allocs/op; want 1 iteration, %d allocs/op",
+				perOp, res.Iterations, res.AllocsPerOp, perOp)
+		}
+	}
+}

@@ -292,50 +292,76 @@ func tdgSubmitDense(n int) (int64, error) {
 }
 
 // measure runs fn with growing iteration counts until the target bench
-// time is met, then takes the best of three rounds at the settled count.
-// It mirrors testing.B's protocol (GC before timing, memstats deltas for
-// allocation counts) without depending on the testing package in a
-// non-test binary; the min-of-rounds step absorbs scheduler noise spikes
-// that would otherwise trip the regression gate on shared machines.
+// time is met, then takes three rounds at the settled count n: n, 2n
+// and n again. It mirrors testing.B's protocol (GC before timing,
+// memstats deltas for allocation counts) without depending on the
+// testing package in a non-test binary.
+//
+// ns/op is the best of the three rounds; the min absorbs scheduler noise
+// spikes that would otherwise trip the regression gate on shared
+// machines. allocs/op and bytes/op are the 2n round minus the cheaper n
+// round, divided by n: a benchmark's fixed set-up (a standing event
+// queue, first-use growth) appears in both rounds and cancels, so the
+// per-op figure does not depend on n — a host stall that settles the
+// growth loop at a tiny count cannot smear the set-up into it.
 func measure(name string, fn benchFunc, benchTime time.Duration) (Result, error) {
 	n := 1
 	for {
-		res, elapsed, err := round(name, fn, n)
+		first, err := round(fn, n)
 		if err != nil {
 			return Result{}, err
 		}
-		if elapsed >= benchTime || n >= 1e9 {
-			for i := 0; i < 2; i++ {
-				again, _, err := round(name, fn, n)
-				if err != nil {
-					return Result{}, err
-				}
-				if again.NsPerOp < res.NsPerOp {
-					res.NsPerOp = again.NsPerOp
-					res.EventsPerSec = again.EventsPerSec
-				}
-				if again.AllocsPerOp < res.AllocsPerOp {
-					res.AllocsPerOp = again.AllocsPerOp
-					res.BytesPerOp = again.BytesPerOp
+		if first.elapsed < benchTime && n < 1e9 {
+			// Grow toward the target like testing.B: extrapolate, pad
+			// 20%, cap the jump at 100x.
+			next := int(float64(n) * 1.2 * float64(benchTime) / float64(first.elapsed+1))
+			n = max(min(next, 100*n), n+1)
+			continue
+		}
+		double, err := round(fn, 2*n)
+		if err != nil {
+			return Result{}, err
+		}
+		again, err := round(fn, n)
+		if err != nil {
+			return Result{}, err
+		}
+		res := Result{Name: name, Kind: KindBench, Iterations: n}
+		for _, s := range []sample{first, double, again} {
+			nsPerOp := float64(s.elapsed.Nanoseconds()) / float64(s.n)
+			if res.NsPerOp == 0 || nsPerOp < res.NsPerOp {
+				res.NsPerOp = nsPerOp
+				res.EventsPerSec = 0
+				if s.events > 0 && s.elapsed > 0 {
+					res.EventsPerSec = float64(s.events) / s.elapsed.Seconds()
 				}
 			}
-			return res, nil
 		}
-		// Grow toward the target like testing.B: extrapolate, pad 20%,
-		// cap the jump at 100x.
-		next := int(float64(n) * 1.2 * float64(benchTime) / float64(elapsed+1))
-		if next > 100*n {
-			next = 100 * n
-		}
-		if next <= n {
-			next = n + 1
-		}
-		n = next
+		res.AllocsPerOp = perOp(double.mallocs, min(first.mallocs, again.mallocs), n)
+		res.BytesPerOp = perOp(double.bytes, min(first.bytes, again.bytes), n)
+		return res, nil
 	}
 }
 
+// perOp is the per-iteration share of the growth from an n round to a
+// 2n round, floored at zero.
+func perOp(double, single uint64, n int) int64 {
+	if double <= single {
+		return 0
+	}
+	return int64(double-single) / int64(n)
+}
+
+// sample is one timed batch of n iterations.
+type sample struct {
+	n              int
+	elapsed        time.Duration
+	events         int64
+	mallocs, bytes uint64
+}
+
 // round times one batch of n iterations.
-func round(name string, fn benchFunc, n int) (Result, time.Duration, error) {
+func round(fn benchFunc, n int) (sample, error) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -343,21 +369,14 @@ func round(name string, fn benchFunc, n int) (Result, time.Duration, error) {
 	events, err := fn(n)
 	elapsed := time.Since(start)
 	if err != nil {
-		return Result{}, 0, err
+		return sample{}, err
 	}
 	runtime.ReadMemStats(&after)
-	res := Result{
-		Name:        name,
-		Kind:        KindBench,
-		Iterations:  n,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
-		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(n),
-		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / int64(n),
-	}
-	if events > 0 && elapsed > 0 {
-		res.EventsPerSec = float64(events) / elapsed.Seconds()
-	}
-	return res, elapsed, nil
+	return sample{
+		n: n, elapsed: elapsed, events: events,
+		mallocs: after.Mallocs - before.Mallocs,
+		bytes:   after.TotalAlloc - before.TotalAlloc,
+	}, nil
 }
 
 // Checksums runs every policy over the paper's six workloads and the

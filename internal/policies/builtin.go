@@ -7,6 +7,7 @@ import (
 	"cata/internal/rsu"
 	"cata/internal/rts"
 	"cata/internal/sched"
+	"cata/internal/spec"
 	"cata/internal/turbo"
 	"cata/internal/xrand"
 )
@@ -14,9 +15,9 @@ import (
 // thetaDoc types the CATS bottom-level threshold: the fraction of the
 // maximum live bottom level at or above which a task counts as critical
 // (sched.BottomLevel.Theta, default 1.0 — the paper's configuration).
-var thetaDoc = ParamDoc{
+var thetaDoc = spec.ParamDoc{
 	Key:          "theta",
-	Kind:         Float,
+	Kind:         spec.Float,
 	Default:      "1.0",
 	Help:         "criticality threshold: fraction of the max live bottom level in (0,1]",
 	Min:          0,
@@ -34,7 +35,7 @@ func init() {
 		{
 			Name:    "FIFO",
 			Summary: "criticality-blind FIFO scheduler on statically fast/slow cores (baseline)",
-			Build: func(_ *Params, env *Env) error {
+			Build: func(_ spec.Params, env *Env) error {
 				env.Mach.SetHeterogeneous(env.FastCores)
 				env.Cfg.NewScheduler = func(info sched.CoreInfo) sched.Scheduler { return sched.NewFIFO(info) }
 				return nil
@@ -43,8 +44,8 @@ func init() {
 		{
 			Name:    "CATS+BL",
 			Summary: "criticality-aware scheduling, dynamic bottom-level estimation",
-			Params:  []ParamDoc{thetaDoc},
-			Build: func(p *Params, env *Env) error {
+			Params:  []spec.ParamDoc{thetaDoc},
+			Build: func(p spec.Params, env *Env) error {
 				bl := sched.NewBottomLevel()
 				bl.Theta = p.Float("theta", bl.Theta)
 				env.Mach.SetHeterogeneous(env.FastCores)
@@ -57,7 +58,7 @@ func init() {
 		{
 			Name:    "CATS+SA",
 			Summary: "criticality-aware scheduling, static criticality annotations",
-			Build: func(_ *Params, env *Env) error {
+			Build: func(_ spec.Params, env *Env) error {
 				env.Mach.SetHeterogeneous(env.FastCores)
 				env.Cfg.Options.ClassAwareWake = true
 				env.Cfg.NewScheduler = func(info sched.CoreInfo) sched.Scheduler { return sched.NewCATS(info) }
@@ -67,7 +68,7 @@ func init() {
 		{
 			Name:    "CATA",
 			Summary: "criticality-driven acceleration in software via the cpufreq stack",
-			Build: func(_ *Params, env *Env) error {
+			Build: func(_ spec.Params, env *Env) error {
 				env.FW = cpufreq.New(env.Eng, env.Mach, cpufreq.DefaultCosts())
 				env.RSM = rsm.New(env.Eng, env.Mach, env.FW, env.FastCores)
 				env.Cfg.Reconfig = rts.RSMReconfig{RSM: env.RSM}
@@ -78,7 +79,7 @@ func init() {
 		{
 			Name:    "CATA+RSU",
 			Summary: "CATA with the hardware Runtime Support Unit",
-			Build: func(_ *Params, env *Env) error {
+			Build: func(_ spec.Params, env *Env) error {
 				env.RSU = rsu.New(env.Eng, env.Mach)
 				env.RSU.Init(env.FastCores)
 				env.Cfg.Reconfig = rts.RSUReconfig{RSU: env.RSU, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
@@ -89,7 +90,7 @@ func init() {
 		{
 			Name:    "TurboMode",
 			Summary: "criticality-blind acceleration of random ready cores",
-			Build: func(_ *Params, env *Env) error {
+			Build: func(_ spec.Params, env *Env) error {
 				env.Turbo = turbo.New(env.Eng, env.Mach, env.FastCores, xrand.New(env.Seed).Stream("turbo"))
 				env.Turbo.Start()
 				env.Cfg.NewScheduler = func(info sched.CoreInfo) sched.Scheduler { return sched.NewFIFO(info) }
@@ -100,7 +101,7 @@ func init() {
 			Name:      "CATA+RSU-HA",
 			Extension: true,
 			Summary:   "CATA+RSU that re-budgets cores halted in kernel IO",
-			Build: func(_ *Params, env *Env) error {
+			Build: func(_ spec.Params, env *Env) error {
 				env.RSU = rsu.New(env.Eng, env.Mach)
 				env.RSU.Init(env.FastCores)
 				rsu.NewHaltAware(env.RSU, env.Mach)
@@ -113,7 +114,7 @@ func init() {
 			Name:      "CATA+RSU-3L",
 			Extension: true,
 			Summary:   "CATA+RSU with three operating points under a power-unit budget",
-			Machine: func(_ *Params, cfg *machine.Config) error {
+			Machine: func(_ spec.Params, cfg *machine.Config) error {
 				// The multi-level extension adds an intermediate operating
 				// point.
 				cfg.Power = rsu.ThreeLevelModel()
@@ -121,7 +122,7 @@ func init() {
 				cfg.FastLevel = 2
 				return nil
 			},
-			Build: func(_ *Params, env *Env) error {
+			Build: func(_ spec.Params, env *Env) error {
 				// Same power envelope as `FastCores` fast cores: fast costs 2
 				// units, so the pool is 2x the fast-core budget.
 				env.ML = rsu.NewMultiLevel(env.Eng, env.Mach, rsu.ThreeLevelUnitCosts())

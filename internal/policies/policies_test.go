@@ -4,59 +4,53 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"cata/internal/spec"
 )
 
-// specErr asserts err is a *SpecError and returns it.
-func specErr(t *testing.T, err error) *SpecError {
+// specErr asserts err is a policy *spec.Error and returns it.
+func specErr(t *testing.T, err error) *spec.Error {
 	t.Helper()
-	var se *SpecError
-	if !errors.As(err, &se) {
-		t.Fatalf("error %v (%T) is not a *SpecError", err, err)
+	var se *spec.Error
+	if !errors.As(err, &se) || se.Component != "policy" {
+		t.Fatalf("error %v (%T) is not a policy *spec.Error", err, err)
 	}
 	return se
 }
 
+// TestParseSpec: policy specs go through the shared grammar — parameters
+// reach the hooks, a bare name has none, and spaces are trimmed.
 func TestParseSpec(t *testing.T) {
-	sp, err := ParseSpec("AMTHA:tiebreak=spread")
+	e, p, err := Resolve(" amtha : tiebreak = spread ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Name != "AMTHA" || sp.vals["tiebreak"] != "spread" {
-		t.Fatalf("parsed %+v", sp)
+	if e.Name != "AMTHA" || p.Str("tiebreak", "") != "spread" {
+		t.Fatalf("resolved %s with tiebreak %q", e.Name, p.Str("tiebreak", ""))
 	}
-
-	// Bare name, no parameters.
-	sp, err = ParseSpec("FIFO")
-	if err != nil || sp.Name != "FIFO" || len(sp.keys) != 0 {
-		t.Fatalf("bare spec: %+v, %v", sp, err)
-	}
-
-	// Canonical form sorts keys and survives whitespace.
-	sp, err = ParseSpec("X: b=2 , a=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sp.Canonical(); got != "X:a=1,b=2" {
-		t.Fatalf("Canonical = %q", got)
+	e, p, err = Resolve("FIFO")
+	if _, ok := p.Lookup("tiebreak"); err != nil || e.Name != "FIFO" || ok {
+		t.Fatalf("bare spec: %s, %v", e.Name, err)
 	}
 }
 
 func TestParseSpecHostile(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
-		key  string // expected SpecError.Key, "" when the whole spec is bad
+		key  string // expected Error.Key, "" when the whole spec is bad
 	}{
 		{"", ""},
 		{":a=1", ""},
 		{"FIFO:", ""},
 		{"FIFO:novalue", ""},
 		{"FIFO:=1", ""},
-		{"X:a=1,a=2", "a"},
+		{"AMTHA:tiebreak=", "tiebreak"},
+		{"AMTHA:tiebreak=index,tiebreak=spread", "tiebreak"},
 	} {
-		_, err := ParseSpec(tc.spec)
+		_, err := Canonicalize(tc.spec)
 		se := specErr(t, err)
 		if se.Key != tc.key {
-			t.Errorf("ParseSpec(%q): Key = %q, want %q (err %v)", tc.spec, se.Key, tc.key, err)
+			t.Errorf("Canonicalize(%q): Key = %q, want %q (err %v)", tc.spec, se.Key, tc.key, err)
 		}
 	}
 }
@@ -73,7 +67,7 @@ func TestLookupCaseInsensitive(t *testing.T) {
 	}
 	_, err := Lookup("no-such-policy")
 	se := specErr(t, err)
-	if se.Policy != "no-such-policy" || !strings.Contains(se.Reason, "unknown policy") {
+	if se.Name != "no-such-policy" || !strings.Contains(se.Reason, "unknown policy") {
 		t.Fatalf("unknown-policy error = %+v", se)
 	}
 	// The error names the valid policies, so a typo is self-correcting.
@@ -122,12 +116,16 @@ func TestCanonicalizeHostile(t *testing.T) {
 		{"CATS+BL:theta=0", "CATS+BL", "theta"},
 		{"CATS+BL:theta=-0.5", "CATS+BL", "theta"},
 		{"CATS+BL:theta=1.5", "CATS+BL", "theta"},
+		// NaN passes every bounds comparison; it is rejected as a kind
+		// error instead. Errors carry the canonical name casing.
+		{"CATS+BL:theta=NaN", "CATS+BL", "theta"},
+		{"cats+bl:theta=Inf", "CATS+BL", "theta"},
 	} {
 		_, err := Canonicalize(tc.spec)
 		se := specErr(t, err)
-		if se.Policy != tc.policy || se.Key != tc.key {
+		if se.Name != tc.policy || se.Key != tc.key {
 			t.Errorf("Canonicalize(%q): policy=%q key=%q, want policy=%q key=%q (err %v)",
-				tc.spec, se.Policy, se.Key, tc.policy, tc.key, err)
+				tc.spec, se.Name, se.Key, tc.policy, tc.key, err)
 		}
 	}
 }
@@ -191,7 +189,7 @@ func TestListOrderAndDocs(t *testing.T) {
 			if d.Key == "" || d.Default == "" || d.Help == "" {
 				t.Errorf("%s param %+v is underdocumented", e.Name, d)
 			}
-			if d.Kind == Enum && len(d.Choices) == 0 {
+			if d.Kind == spec.Enum && len(d.Choices) == 0 {
 				t.Errorf("%s enum param %q has no choices", e.Name, d.Key)
 			}
 		}
@@ -208,23 +206,30 @@ func TestRegisterRejectsBadEntries(t *testing.T) {
 		}()
 		Register(e)
 	}
-	build := func(*Params, *Env) error { return nil }
+	build := func(spec.Params, *Env) error { return nil }
 	mustPanic("duplicate", Entry{Name: "FIFO", Summary: "dup", Build: build})
 	mustPanic("duplicate case-folded", Entry{Name: "fifo", Summary: "dup", Build: build})
 	mustPanic("empty name", Entry{Summary: "anon", Build: build})
 	mustPanic("nil build", Entry{Name: "NilBuild", Summary: "x"})
 	mustPanic("bad enum param", Entry{
 		Name: "BadEnum", Summary: "x", Build: build,
-		Params: []ParamDoc{{Key: "mode", Kind: Enum, Default: "a", Help: "h"}},
+		Params: []spec.ParamDoc{{Key: "mode", Kind: spec.Enum, Default: "a", Help: "h"}},
 	})
 }
 
+// TestKindString: the kind names every registered parameter publishes
+// through /v1/policies are the wire contract's four.
 func TestKindString(t *testing.T) {
-	for k, want := range map[Kind]string{
-		String: "string", Int: "int", Float: "float", Enum: "enum",
-	} {
-		if k.String() != want {
-			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
+	for _, e := range List() {
+		for _, d := range e.Params {
+			switch k := d.Kind.String(); k {
+			case "string", "int", "float", "enum":
+			default:
+				t.Errorf("%s parameter %s has kind %q outside the wire contract", e.Name, d.Key, k)
+			}
 		}
+	}
+	if got := thetaDoc.Kind.String(); got != "float" {
+		t.Errorf("theta kind = %q, want float", got)
 	}
 }

@@ -78,6 +78,11 @@ func (r *Runtime) Inject(at sim.Time, jobID int, prog *program.Program) error {
 	if err := prog.Validate(); err != nil {
 		return err
 	}
+	if at < r.eng.Now() {
+		// An arrival schedule that overflowed simulated time, e.g. from
+		// a well-formed but vanishingly small arrival rate.
+		return fmt.Errorf("rts: Inject of job %d at %v, before the current time %v", jobID, at, r.eng.Now())
+	}
 	r.open.pending++
 	r.eng.At(at, func() { r.openArrive(jobID, prog) })
 	return nil

@@ -7,7 +7,9 @@
 // submitted with "trace": true), registry introspection (/v1/policies,
 // /v1/workloads), /healthz, and the Prometheus scrape endpoint
 // /metrics (queue depth, jobs by state, cache hit rate, engine
-// events/sec, acceleration decisions). Jobs execute on a bounded
+// events/sec, acceleration decisions). Admission validates every
+// config's workload, policy and arrival specs (cata.RunConfig.Validate)
+// and answers a bad one with a structured 400. Jobs execute on a bounded
 // internal/jobs.Manager; each job runs through the public batch engine
 // (cata.RunBatch) against a shared content-addressed result cache, so
 // resubmitting an identical spec is served without re-simulation.
@@ -22,14 +24,12 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"cata"
 	"cata/internal/jobs"
 	"cata/internal/metrics"
-	"cata/internal/policies"
-	"cata/internal/workloads"
+	"cata/internal/spec"
 )
 
 // Config parameterizes the daemon.
@@ -178,16 +178,16 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // writeSpecError writes a 400 for a config rejected at admission. When
-// the cause is a bad policy spec, the body names the offending
-// component — {"error": ..., "policy": ..., "param": ...} — so clients
-// can point at the exact field; other errors keep the plain
-// {"error": ...} shape.
+// the cause is a bad spec, the body names the offending component and
+// parameter — {"error": ..., "workload"|"policy"|"arrivals": name,
+// "param": key} — so clients can point at the exact field; other errors
+// keep the plain {"error": ...} shape.
 func writeSpecError(w http.ResponseWriter, context string, err error) {
 	body := map[string]string{"error": fmt.Sprintf("%s: %v", context, err)}
-	var se *policies.SpecError
+	var se *spec.Error
 	if errors.As(err, &se) {
-		if se.Policy != "" {
-			body["policy"] = se.Policy
+		if se.Name != "" {
+			body[se.Component] = se.Name
 		}
 		if se.Key != "" {
 			body["param"] = se.Key
@@ -230,46 +230,15 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// checkWorkload validates that a workload spec names a registered
-// workload (parameters are validated at build time by the registry).
-func checkWorkload(spec string) error {
-	if spec == "" {
-		return errors.New("workload required")
-	}
-	name, _, _ := strings.Cut(spec, ":")
-	_, err := workloads.Lookup(name)
-	return err
-}
-
-// checkPolicy validates a policy spec against the policy registry:
-// name, parameter keys, types and bounds, all without running anything.
-// The empty spec is the FIFO default.
-func checkPolicy(p cata.Policy) error {
-	if p == "" {
-		return nil
-	}
-	return cata.ValidatePolicy(string(p))
-}
-
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var cfg cata.RunConfig
 	if err := decodeBody(w, r, &cfg); err != nil {
 		writeSpecError(w, "decoding run config", err)
 		return
 	}
-	if err := checkWorkload(cfg.Workload); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := cfg.Validate(); err != nil {
+		writeSpecError(w, "validating run config", err)
 		return
-	}
-	if err := checkPolicy(cfg.Policy); err != nil {
-		writeSpecError(w, "validating policy", err)
-		return
-	}
-	if cfg.Arrivals != "" {
-		if err := cata.ValidateArrivals(cfg.Arrivals); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 	}
 	label := fmt.Sprintf("%s/%v/fast=%d", cfg.Workload, cfg.Policy, cfg.FastCores)
 	s.submit(w, r, "run", label, []cata.RunConfig{cfg})
@@ -285,12 +254,8 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	// so the daemon can never drift from the in-process API.
 	cfgs := cfg.Configs()
 	for _, c := range cfgs {
-		if err := checkWorkload(c.Workload); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if err := checkPolicy(c.Policy); err != nil {
-			writeSpecError(w, "validating policy", err)
+		if err := c.Validate(); err != nil {
+			writeSpecError(w, "validating sweep config", err)
 			return
 		}
 	}

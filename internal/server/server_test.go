@@ -17,9 +17,10 @@ import (
 	"cata/internal/server"
 )
 
-// newTestService boots a daemon on an httptest listener and returns a
-// typed client for it. Cleanup cancels whatever is still in flight.
-func newTestService(t *testing.T, cfg server.Config) (*server.Server, *cata.ServiceClient) {
+// newTestService boots a daemon on an httptest listener and returns its
+// base URL and a typed client for it. Cleanup cancels whatever is still
+// in flight.
+func newTestService(t *testing.T, cfg server.Config) (string, *cata.ServiceClient) {
 	t.Helper()
 	if cfg.CachePath == "" {
 		cfg.CachePath = filepath.Join(t.TempDir(), "cache.jsonl")
@@ -36,7 +37,26 @@ func newTestService(t *testing.T, cfg server.Config) (*server.Server, *cata.Serv
 		_ = srv.Drain(ctx) // deadline force-cancels leftovers
 		_ = srv.Close()
 	})
-	return srv, cata.NewServiceClient(ts.URL, nil)
+	return ts.URL, cata.NewServiceClient(ts.URL, nil)
+}
+
+// post400 submits raw JSON, requires a 400, and decodes the structured
+// error body.
+func post400(t *testing.T, base, path, body string) map[string]string {
+	t.Helper()
+	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != 400 {
+		t.Fatalf("POST %s %s: status %d, want 400", path, body, resp.StatusCode)
+	}
+	var got map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 // seeds returns n distinct seeds, the cheap way to size a sweep.
@@ -298,13 +318,14 @@ func TestStateParity(t *testing.T) {
 	}
 }
 
-// TestFailedRunReported: a run that fails at build time lands the job
-// in failed with the cause preserved (admission checks only cover the
-// workload name, not its parameters).
+// TestFailedRunReported: a run that passes admission but fails at build
+// time lands the job in failed with the cause preserved (admission
+// checks the spec, not the file a file-backed workload names).
 func TestFailedRunReported(t *testing.T) {
 	_, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
-	st, err := c.SubmitRun(ctx, cata.RunConfig{Workload: "layered:bogus=1"})
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	st, err := c.SubmitRun(ctx, cata.RunConfig{Workload: "trace:file=" + missing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,21 +426,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // registered policy is fully usable through the daemon by its spec
 // string alone — listed with its typed params, and runnable.
 func TestPolicySpecValidation(t *testing.T) {
-	cfg := server.Config{Workers: 1, QueueDepth: 4,
-		CachePath: filepath.Join(t.TempDir(), "cache.jsonl")}
-	srv, err := server.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		defer cancel()
-		_ = srv.Drain(ctx)
-		_ = srv.Close()
-	})
-	c := cata.NewServiceClient(ts.URL, nil)
+	base, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
 
 	// /v1/policies exposes the registered AMTHA entry with its typed
@@ -445,41 +452,23 @@ func TestPolicySpecValidation(t *testing.T) {
 		t.Fatalf("AMTHA param doc = %+v", p)
 	}
 
-	// post400 submits raw JSON and decodes the structured error body.
-	post400 := func(path, body string) map[string]string {
-		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Fatalf("POST %s %s: status %d, want 400", path, body, resp.StatusCode)
-		}
-		var got map[string]string
-		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-
 	// Unknown policy name: the body names the policy.
-	got := post400("/v1/runs", `{"workload":"dedup","policy":"NoSuchPolicy"}`)
+	got := post400(t, base, "/v1/runs", `{"workload":"dedup","policy":"NoSuchPolicy"}`)
 	if got["policy"] != "NoSuchPolicy" || !strings.Contains(got["error"], "unknown policy") {
 		t.Fatalf("unknown-policy body = %v", got)
 	}
 	// Bad enum value: the body names policy and the offending key.
-	got = post400("/v1/runs", `{"workload":"dedup","policy":"AMTHA:tiebreak=bogus"}`)
+	got = post400(t, base, "/v1/runs", `{"workload":"dedup","policy":"AMTHA:tiebreak=bogus"}`)
 	if got["policy"] != "AMTHA" || got["param"] != "tiebreak" {
 		t.Fatalf("bad-enum body = %v", got)
 	}
 	// Out-of-bounds float deep inside a sweep config.
-	got = post400("/v1/sweeps", `{"workloads":["dedup"],"policies":["FIFO","CATS+BL:theta=2"]}`)
+	got = post400(t, base, "/v1/sweeps", `{"workloads":["dedup"],"policies":["FIFO","CATS+BL:theta=2"]}`)
 	if got["policy"] != "CATS+BL" || got["param"] != "theta" {
 		t.Fatalf("sweep bad-theta body = %v", got)
 	}
 	// Unknown parameter key.
-	got = post400("/v1/runs", `{"workload":"dedup","policy":"FIFO:hint=1"}`)
+	got = post400(t, base, "/v1/runs", `{"workload":"dedup","policy":"FIFO:hint=1"}`)
 	if got["policy"] != "FIFO" || got["param"] != "hint" {
 		t.Fatalf("unknown-key body = %v", got)
 	}
@@ -499,5 +488,63 @@ func TestPolicySpecValidation(t *testing.T) {
 	}
 	if st.State != cata.JobSucceeded || st.Result == nil || len(st.Result.Results) != 1 {
 		t.Fatalf("AMTHA job = %+v", st)
+	}
+}
+
+// TestWorkloadAndArrivalSpecValidation: bad workload and arrival specs
+// are rejected at admission — before any job is queued — with the same
+// structured 400 policies get, naming the spec and the parameter. A NaN
+// duration used to pass admission and panic a worker, taking the daemon
+// down; it must leave the daemon healthy.
+func TestWorkloadAndArrivalSpecValidation(t *testing.T) {
+	base, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+
+	for _, tc := range []struct {
+		path, body           string
+		component, name, key string
+	}{
+		{"/v1/runs", `{"workload":"layered:dur=NaN"}`, "workload", "layered", "dur"},
+		{"/v1/runs", `{"workload":"layered:width=0"}`, "workload", "layered", "width"},
+		{"/v1/runs", `{"workload":"layered:bogus=1"}`, "workload", "layered", "bogus"},
+		{"/v1/runs", `{"workload":"trace"}`, "workload", "trace", "file"},
+		{"/v1/runs", `{"workload":"dedup","arrivals":"poisson:lambda=NaN"}`, "arrivals", "poisson", "lambda"},
+		{"/v1/runs", `{"workload":"dedup","arrivals":"poisson:jobs=10abc"}`, "arrivals", "poisson", "jobs"},
+		{"/v1/runs", `{"workload":"dedup","arrivals":"fixed:interval=1ms,lambda=5"}`, "arrivals", "fixed", "lambda"},
+		{"/v1/sweeps", `{"workloads":["dedup","chain:sidedur=NaN"]}`, "workload", "chain", "sidedur"},
+	} {
+		got := post400(t, base, tc.path, tc.body)
+		if got[tc.component] != tc.name || got["param"] != tc.key {
+			t.Errorf("POST %s %s: body = %v, want %s=%q param=%q",
+				tc.path, tc.body, got, tc.component, tc.name, tc.key)
+		}
+	}
+
+	js, err := c.Jobs(ctx)
+	if err != nil || len(js) != 0 {
+		t.Fatalf("rejected specs left %d jobs behind (%v)", len(js), err)
+	}
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("health after rejections = %+v, %v", h, err)
+	}
+
+	// A registered policy sweeps against CATA and the baseline through
+	// /v1/sweeps, parameters included.
+	job, err := c.SubmitSweep(ctx, cata.MatrixConfig{
+		Workloads: []string{"dedup"},
+		Policies:  []cata.Policy{cata.PolicyFIFO, cata.PolicyCATA, cata.Policy("AMTHA:tiebreak=accum")},
+		FastCores: []int{8},
+		Seeds:     []uint64{7},
+		Scale:     0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != cata.JobSucceeded || st.Result == nil || len(st.Result.Results) != 3 || st.Result.Failed != 0 {
+		t.Fatalf("policy sweep = %+v", st)
 	}
 }

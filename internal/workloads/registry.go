@@ -6,19 +6,8 @@ import (
 	"strings"
 
 	"cata/internal/program"
+	"cata/internal/spec"
 )
-
-// ParamDoc documents one workload parameter for CLI listings and for
-// validation: a spec may only set keys that its entry documents (plus the
-// reserved `seed` and `scale`).
-type ParamDoc struct {
-	// Key is the parameter name as written in a spec.
-	Key string
-	// Default describes the value used when the key is absent.
-	Default string
-	// Help is a one-line description.
-	Help string
-}
 
 // Entry is one registered workload: a named constructor with typed,
 // documented parameters. The registry replaces the hard-coded workload
@@ -29,12 +18,14 @@ type Entry struct {
 	Name string
 	// Description summarizes the workload's structure in one line.
 	Description string
-	// Params documents the accepted parameters. Specs naming any other
-	// key (except the reserved seed/scale) are rejected before Build.
-	Params []ParamDoc
+	// Params declares the accepted parameters with their kinds and
+	// bounds. Specs naming any other key (except the reserved
+	// seed/scale), or a value outside its declaration, are rejected
+	// before Build runs.
+	Params []spec.ParamDoc
 	// Build constructs the program. seed and scale arrive with the
 	// reserved spec parameters already applied.
-	Build func(p *Params, seed uint64, scale float64) (*program.Program, error)
+	Build func(p spec.Params, seed uint64, scale float64) (*program.Program, error)
 	// FileBacked marks workloads whose program is loaded from an
 	// external file: they cannot be built without parameters, and their
 	// cache identity must include the file's content (see CacheToken).
@@ -44,21 +35,23 @@ type Entry struct {
 	// entries return a content hash so a changed file never reuses a
 	// stale cached result. A nil CacheToken means the canonical spec
 	// fully identifies the generated program.
-	CacheToken func(p *Params) (string, error)
+	CacheToken func(p spec.Params) (string, error)
 }
 
 // reservedParams apply to every workload and are handled by Build before
 // an entry's constructor runs.
-var reservedParams = []ParamDoc{
-	{Key: "seed", Default: "run seed", Help: "override the run's workload seed"},
-	{Key: "scale", Default: "run scale", Help: "override the run's scale in (0,1]"},
+var reservedParams = []spec.ParamDoc{
+	{Key: "seed", Kind: spec.Uint, Default: "run seed", Help: "override the run's workload seed"},
+	{Key: "scale", Kind: spec.Float, Default: "run scale", Help: "override the run's scale in (0,1]",
+		Min: 0, Max: 1, MinExclusive: true},
 }
 
 var registry = map[string]Entry{}
 
 // Register adds an entry to the workload registry. It panics on duplicate
-// or empty names and on file-backed entries without a CacheToken —
-// programmer errors in an init-time, static call graph.
+// or empty names, malformed parameter declarations, and file-backed
+// entries without a CacheToken — programmer errors in an init-time,
+// static call graph.
 func Register(e Entry) {
 	if e.Name == "" || e.Build == nil {
 		panic("workloads: Register with empty name or nil Build")
@@ -68,6 +61,9 @@ func Register(e Entry) {
 	}
 	if e.FileBacked && e.CacheToken == nil {
 		panic(fmt.Sprintf("workloads: file-backed workload %q must provide a CacheToken", e.Name))
+	}
+	if err := spec.CheckDocs(reservedParams, e.Params); err != nil {
+		panic(fmt.Sprintf("workloads: %s: %v", e.Name, err))
 	}
 	registry[e.Name] = e
 }
@@ -98,43 +94,35 @@ func List() []Entry {
 	return es
 }
 
-// Lookup returns the registry entry for a workload name.
-func Lookup(name string) (Entry, error) {
-	e, ok := registry[name]
+// resolve parses a workload spec and validates it against its registry
+// entry: the name (case-sensitive), then every parameter's key, kind
+// and bounds.
+func resolve(s string) (spec.Spec, Entry, error) {
+	sp, err := spec.Parse("workload", s)
+	if err != nil {
+		return spec.Spec{}, Entry{}, err
+	}
+	e, ok := registry[sp.Name]
 	if !ok {
 		names := make([]string, 0, len(registry))
 		for n := range registry {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		return Entry{}, fmt.Errorf("workloads: unknown workload %q (have %s)", name, strings.Join(names, ", "))
+		return spec.Spec{}, Entry{}, sp.Errorf("", "unknown workload (have %s)", strings.Join(names, ", "))
 	}
-	return e, nil
+	if err := sp.Check(reservedParams, e.Params); err != nil {
+		return spec.Spec{}, Entry{}, err
+	}
+	return sp, e, nil
 }
 
-// checkKeys rejects spec keys the entry does not document.
-func checkKeys(e Entry, sp Spec) error {
-	allowed := map[string]bool{}
-	for _, d := range reservedParams {
-		allowed[d.Key] = true
-	}
-	for _, d := range e.Params {
-		allowed[d.Key] = true
-	}
-	for _, k := range sp.keys {
-		if !allowed[k] {
-			keys := make([]string, 0, len(allowed))
-			for _, d := range e.Params {
-				keys = append(keys, d.Key)
-			}
-			for _, d := range reservedParams {
-				keys = append(keys, d.Key)
-			}
-			sort.Strings(keys)
-			return fmt.Errorf("workloads: %s has no parameter %q (have %s)", e.Name, k, strings.Join(keys, ", "))
-		}
-	}
-	return nil
+// Validate checks a workload spec against the registry without building
+// anything. The error is a *spec.Error naming the offending parameter
+// when one is at fault.
+func Validate(s string) error {
+	_, _, err := resolve(s)
+	return err
 }
 
 // Build resolves a workload spec string against the registry and
@@ -142,31 +130,13 @@ func checkKeys(e Entry, sp Spec) error {
 // `trace:file=capture.json`, ... The seed and scale arguments are the
 // run's values; the reserved spec parameters override them. The returned
 // program is validated.
-func Build(spec string, seed uint64, scale float64) (*program.Program, error) {
-	sp, err := ParseSpec(spec)
+func Build(s string, seed uint64, scale float64) (*program.Program, error) {
+	sp, e, err := resolve(s)
 	if err != nil {
 		return nil, err
 	}
-	e, err := Lookup(sp.Name)
+	prog, err := e.Build(sp.Params, sp.Params.Uint64("seed", seed), sp.Params.Float("scale", scale))
 	if err != nil {
-		return nil, err
-	}
-	if err := checkKeys(e, sp); err != nil {
-		return nil, err
-	}
-	p := newParams(e.Name, sp.vals)
-	seed = p.Uint64("seed", seed)
-	scale = p.Float("scale", scale, 0, 1)
-	if v, ok := sp.Param("scale"); ok && scale == 0 {
-		// Float's bounds are inclusive, but a spec'd scale of 0 would be
-		// silently clamped to full scale by the generators; reject it.
-		return nil, fmt.Errorf("workloads: %s: parameter scale=%s must be in (0,1]", e.Name, v)
-	}
-	prog, err := e.Build(p, seed, scale)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Err(); err != nil {
 		return nil, err
 	}
 	if err := prog.Validate(); err != nil {
@@ -178,28 +148,17 @@ func Build(spec string, seed uint64, scale float64) (*program.Program, error) {
 // CacheToken returns the content-addressed identity of a workload spec
 // for batch cache keys: the canonical spec string, extended with the
 // entry's extra token (e.g. a file content hash) when it has one. It
-// fails for unknown workloads, undocumented parameters, or unreadable
-// files, in which case the run is not cacheable (and will fail anyway).
-func CacheToken(spec string) (string, error) {
-	sp, err := ParseSpec(spec)
+// fails for specs Validate rejects and for unreadable files, in which
+// case the run is not cacheable (and will fail anyway).
+func CacheToken(s string) (string, error) {
+	sp, e, err := resolve(s)
 	if err != nil {
-		return "", err
-	}
-	e, err := Lookup(sp.Name)
-	if err != nil {
-		return "", err
-	}
-	if err := checkKeys(e, sp); err != nil {
 		return "", err
 	}
 	tok := sp.Canonical()
 	if e.CacheToken != nil {
-		p := newParams(e.Name, sp.vals)
-		extra, err := e.CacheToken(p)
+		extra, err := e.CacheToken(sp.Params)
 		if err != nil {
-			return "", err
-		}
-		if err := p.Err(); err != nil {
 			return "", err
 		}
 		tok += "#" + extra
@@ -215,7 +174,7 @@ func init() {
 		Register(Entry{
 			Name:        w.Name(),
 			Description: w.Description(),
-			Build: func(_ *Params, seed uint64, scale float64) (*program.Program, error) {
+			Build: func(_ spec.Params, seed uint64, scale float64) (*program.Program, error) {
 				return w.Build(seed, scale), nil
 			},
 		})

@@ -1,77 +1,96 @@
 package workloads
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cata/internal/spec"
 )
 
+// TestParseSpec: a workload spec resolves through the shared grammar to
+// its canonical form — name as written, parameters in sorted order.
 func TestParseSpec(t *testing.T) {
-	sp, err := ParseSpec("layered:width=16,depth=32,seed=7")
+	tok, err := CacheToken("layered:width=16,depth=32,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Name != "layered" {
-		t.Fatalf("name = %q", sp.Name)
+	if want := "layered:depth=32,seed=7,width=16"; tok != want {
+		t.Fatalf("canonical = %q, want %q", tok, want)
 	}
-	if v, ok := sp.Param("width"); !ok || v != "16" {
-		t.Fatalf("width = %q, %v", v, ok)
-	}
-	if got, want := sp.Canonical(), "layered:depth=32,seed=7,width=16"; got != want {
-		t.Fatalf("canonical = %q, want %q", got, want)
-	}
-
-	bare, err := ParseSpec("dedup")
-	if err != nil || bare.Name != "dedup" || bare.Canonical() != "dedup" {
-		t.Fatalf("bare spec: %+v, %v", bare, err)
+	if tok, err := CacheToken("dedup"); err != nil || tok != "dedup" {
+		t.Fatalf("bare spec: %q, %v", tok, err)
 	}
 }
 
 func TestParseSpecCanonicalOrderInsensitive(t *testing.T) {
-	a, err := ParseSpec("layered:width=16,depth=32")
+	a, err := CacheToken("layered:width=16,depth=32")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ParseSpec("layered: depth=32, width=16")
+	b, err := CacheToken("layered: depth=32, width=16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Canonical() != b.Canonical() {
-		t.Fatalf("canonical forms differ: %q vs %q", a.Canonical(), b.Canonical())
+	if a != b {
+		t.Fatalf("canonical forms differ: %q vs %q", a, b)
 	}
 }
 
+// TestParseSpecErrors: malformed specs are rejected with a structured
+// error that names the workload component and, when one is at fault,
+// the parameter.
 func TestParseSpecErrors(t *testing.T) {
-	for _, s := range []string{
-		"",                        // empty name
-		":width=1",                // empty name with params
-		"layered:",                // dangling colon
-		"layered:width",           // not key=val
-		"layered:=16",             // empty key
-		"layered:width=1,width=2", // duplicate key
+	for _, tc := range []struct{ spec, key string }{
+		{"", ""},                             // empty name
+		{":width=1", ""},                     // empty name with params
+		{"layered:", ""},                     // dangling colon
+		{"layered:width", ""},                // not key=val
+		{"layered:=16", ""},                  // empty key
+		{"layered:width=", "width"},          // empty value
+		{"layered:width=1,width=2", "width"}, // duplicate key
 	} {
-		if _, err := ParseSpec(s); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", s)
+		var se *spec.Error
+		if err := Validate(tc.spec); !errors.As(err, &se) || se.Component != "workload" || se.Key != tc.key {
+			t.Errorf("Validate(%q) = %v, want a workload spec error on key %q", tc.spec, err, tc.key)
 		}
 	}
 }
 
 func TestBuildRejectsBadSpecs(t *testing.T) {
-	for _, s := range []string{
-		"nope",                // unknown workload
-		"layered:bogus=1",     // undocumented parameter
-		"layered:width=zero",  // non-integer value
-		"layered:width=0",     // below minimum
-		"layered:memfrac=1.5", // out of range
-		"dedup:width=4",       // paper benchmark has no width
-		"trace",               // file-backed without file
-		"chain:scale=2",       // reserved scale out of range
-		"chain:scale=0",       // zero scale would silently mean full scale
+	for _, tc := range []struct{ spec, key string }{
+		{"nope", ""},                       // unknown workload
+		{"Layered", ""},                    // names are case-sensitive
+		{"layered:bogus=1", "bogus"},       // undocumented parameter
+		{"layered:width=zero", "width"},    // non-integer value
+		{"layered:width=0", "width"},       // below minimum
+		{"layered:memfrac=1.5", "memfrac"}, // out of range
+		{"layered:dur=NaN", "dur"},         // NaN passes every comparison
+		{"layered:skew=NaN", "skew"},
+		{"layered:scale=NaN", "scale"},
+		{"layered:dur=Inf", "dur"},
+		{"chain:sidedur=NaN", "sidedur"},
+		{"dedup:width=4", "width"}, // paper benchmark has no width
+		{"trace", "file"},          // file-backed without file
+		{"chain:scale=2", "scale"}, // reserved scale out of range
+		{"chain:scale=0", "scale"}, // zero scale would silently mean full scale
+		{"chain:seed=-1", "seed"},  // seed is unsigned
 	} {
-		if _, err := Build(s, 42, 1.0); err == nil {
-			t.Errorf("Build(%q) accepted", s)
+		_, err := Build(tc.spec, 42, 1.0)
+		var se *spec.Error
+		if !errors.As(err, &se) || se.Key != tc.key {
+			t.Errorf("Build(%q) = %v, want a spec error on key %q", tc.spec, err, tc.key)
+			continue
 		}
+		if verr := Validate(tc.spec); verr == nil || verr.Error() != err.Error() {
+			t.Errorf("Validate(%q) = %v, want Build's error %v", tc.spec, verr, err)
+		}
+	}
+	// The reserved seed keeps its full uint64 range.
+	if err := Validate("chain:seed=18446744073709551615"); err != nil {
+		t.Errorf("max seed rejected: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"cata/internal/program"
 	"cata/internal/sim"
+	"cata/internal/spec"
 	"cata/internal/tdg"
 )
 
@@ -31,16 +32,10 @@ func init() {
 	Register(Entry{
 		Name:        "trace",
 		Description: "replay a JSON task-graph trace (see catasim -export); exact down to the barrier",
-		Params: []ParamDoc{
-			{Key: "file", Default: "(required)", Help: "path to the JSON trace"},
-		},
-		FileBacked: true,
-		Build: func(p *Params, _ uint64, _ float64) (*program.Program, error) {
-			path := p.Str("file", "")
-			if path == "" {
-				return nil, fmt.Errorf("workloads: trace requires file=PATH")
-			}
-			f, err := os.Open(path)
+		Params:      []spec.ParamDoc{fileParam("path to the JSON trace")},
+		FileBacked:  true,
+		Build: func(p spec.Params, _ uint64, _ float64) (*program.Program, error) {
+			f, err := os.Open(p.Str("file", ""))
 			if err != nil {
 				return nil, fmt.Errorf("workloads: trace: %w", err)
 			}
@@ -52,10 +47,12 @@ func init() {
 	Register(Entry{
 		Name:        "dot",
 		Description: "import a Graphviz digraph as a task graph (see catasim -dot); structure and costs, no barriers",
-		Params: []ParamDoc{
-			{Key: "file", Default: "(required)", Help: "path to the DOT file"},
-			{Key: "dur", Default: "1000", Help: "duration in µs at 1 GHz for nodes without cost attributes"},
-			{Key: "memfrac", Default: "0.3", Help: "memory-stall fraction for nodes without cost attributes"},
+		Params: []spec.ParamDoc{
+			fileParam("path to the DOT file"),
+			{Key: "dur", Kind: spec.Float, Default: "1000", Help: "duration in µs at 1 GHz for nodes without cost attributes",
+				Min: 1, Max: 1e9},
+			{Key: "memfrac", Kind: spec.Float, Default: "0.3", Help: "memory-stall fraction for nodes without cost attributes",
+				Min: 0, Max: 1},
 		},
 		FileBacked: true,
 		Build:      buildDOT,
@@ -63,12 +60,14 @@ func init() {
 	})
 }
 
+// fileParam declares the required file parameter of a file-backed entry.
+func fileParam(help string) spec.ParamDoc {
+	return spec.ParamDoc{Key: "file", Kind: spec.String, Default: "(required)", Help: help, Required: true}
+}
+
 // fileCacheToken hashes the file parameter's content.
-func fileCacheToken(p *Params) (string, error) {
+func fileCacheToken(p spec.Params) (string, error) {
 	path := p.Str("file", "")
-	if path == "" {
-		return "", fmt.Errorf("workloads: missing file=PATH")
-	}
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return "", fmt.Errorf("workloads: hashing %s: %w", path, err)
@@ -163,19 +162,9 @@ func (h *intHeap) pop() int {
 // OmpSs read-before-write resolution would drop the edge. Nodes without
 // cost attributes get the default duration split by memfrac, like every
 // generator.
-func buildDOT(p *Params, _ uint64, _ float64) (*program.Program, error) {
-	var (
-		path    = p.Str("file", "")
-		dur     = synthDur(p.Float("dur", 1000, 1, 1e9))
-		memfrac = p.Float("memfrac", 0.3, 0, 1)
-	)
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
-	if path == "" {
-		return nil, fmt.Errorf("workloads: dot requires file=PATH")
-	}
-	f, err := os.Open(path)
+func buildDOT(p spec.Params, _ uint64, _ float64) (*program.Program, error) {
+	dur, memfrac := synthDur(p.Float("dur", 1000)), p.Float("memfrac", 0.3)
+	f, err := os.Open(p.Str("file", ""))
 	if err != nil {
 		return nil, fmt.Errorf("workloads: dot: %w", err)
 	}
