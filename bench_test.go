@@ -7,6 +7,7 @@ package cata_test
 // full-scale numbers recorded in EXPERIMENTS.md.
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -43,16 +44,63 @@ func BenchmarkFigure5(b *testing.B) {
 func benchMatrix(b *testing.B, policies []cata.Policy) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := cata.RunMatrix(cata.MatrixConfig{
-			Policies: policies,
-			Seeds:    []uint64{benchSeed},
-			Scale:    benchScale,
-		})
-		if err != nil {
+		if err := figureMatrix(policies); err != nil {
 			b.Fatal(err)
 		}
-		if m.SpeedupTable() == "" || m.EDPTable() == "" {
-			b.Fatal("empty tables")
+	}
+}
+
+// figureMatrix is one operation of the figure benchmarks: the figure's
+// matrix at the bench scale and seed, tables rendered.
+func figureMatrix(policies []cata.Policy) error {
+	m, err := cata.RunMatrix(cata.MatrixConfig{
+		Policies: policies,
+		Seeds:    []uint64{benchSeed},
+		Scale:    benchScale,
+	})
+	if err != nil {
+		return err
+	}
+	if m.SpeedupTable() == "" || m.EDPTable() == "" {
+		return errors.New("empty tables")
+	}
+	return nil
+}
+
+// allocSlack is how far above its pin an allocation count may rise
+// before TestBenchAllocs fails: 15%, the tolerance of the bench gate
+// the pins were first recorded for.
+const allocSlack = 0.15
+
+// TestBenchAllocs pins the heap allocations of one operation of the
+// figure and workload benchmarks to the counts of the July bench capture
+// (BENCH_1.json), with allocSlack headroom upward. Allocation counts do
+// not depend on the host, so unlike the benchmarks' timings they can
+// gate every test run. A change that allocates more fails here; one
+// that allocates much less should lower its pin.
+func TestBenchAllocs(t *testing.T) {
+	pins := []struct {
+		name string
+		pin  float64
+		op   func() error
+	}{
+		{"figure4", 368549, func() error { return figureMatrix(cata.Fig4Policies()) }},
+		{"figure5", 408037, func() error { return figureMatrix(cata.Fig5Policies()) }},
+		{"blackscholes", 5597, func() error { return workloadRun("blackscholes") }},
+		{"swaptions", 3022, func() error { return workloadRun("swaptions") }},
+		{"fluidanimate", 27511, func() error { return workloadRun("fluidanimate") }},
+		{"bodytrack", 5104, func() error { return workloadRun("bodytrack") }},
+		{"dedup", 5461, func() error { return workloadRun("dedup") }},
+		{"ferret", 7244, func() error { return workloadRun("ferret") }},
+	}
+	for _, p := range pins {
+		var err error
+		got := testing.AllocsPerRun(1, func() { err = p.op() })
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if got > p.pin*(1+allocSlack) {
+			t.Errorf("%s allocates %.0f objects per op, pinned %.0f (+%.0f%% allowed)", p.name, got, p.pin, 100*allocSlack)
 		}
 	}
 }
@@ -107,19 +155,28 @@ func BenchmarkWorkload(b *testing.B) {
 		b.Run(w.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := cata.Run(cata.RunConfig{
-					Workload: w.Name, Policy: cata.PolicyCATA,
-					FastCores: 16, Seed: benchSeed, Scale: benchScale,
-				})
-				if err != nil {
+				if err := workloadRun(w.Name); err != nil {
 					b.Fatal(err)
-				}
-				if res.TasksRun == 0 {
-					b.Fatal("no tasks")
 				}
 			}
 		})
 	}
+}
+
+// workloadRun is one operation of BenchmarkWorkload: one CATA run of the
+// workload at 16 fast cores, the bench scale and seed.
+func workloadRun(workload string) error {
+	res, err := cata.Run(cata.RunConfig{
+		Workload: workload, Policy: cata.PolicyCATA,
+		FastCores: 16, Seed: benchSeed, Scale: benchScale,
+	})
+	if err != nil {
+		return err
+	}
+	if res.TasksRun == 0 {
+		return errors.New("no tasks")
+	}
+	return nil
 }
 
 // BenchmarkAblationTransitionLatency sweeps the DVFS transition latency

@@ -238,7 +238,7 @@ func (c *ServiceClient) Health(ctx context.Context) (ServiceHealth, error) {
 // Metrics fetches GET /metrics: the daemon's telemetry in Prometheus
 // text format (queue depth, jobs by state, cache hit/miss counters,
 // engine events/sec, acceleration decisions), as raw exposition text
-// for scraping or assertion in smoke tests.
+// for scraping or assertion in tests.
 func (c *ServiceClient) Metrics(ctx context.Context) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
 	if err != nil {

@@ -94,10 +94,10 @@ func run(addr string, workers, queue, simPar, retain int, cache string, drainTim
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 
-	// The "listening on" line is the startup contract: the smoke script
-	// and the e2e test parse the bound address from it (ports may be
-	// ephemeral via -addr :0). The message stays formatted — consumers
-	// cut at "listening on " and take the next space-delimited token.
+	// The "listening on" line is the startup contract: the e2e test
+	// parses the bound address from it (ports may be ephemeral via
+	// -addr :0). The message stays formatted — consumers cut at
+	// "listening on " and take the next space-delimited token.
 	logger.Info(fmt.Sprintf("catad: listening on %s (workers=%d queue=%d cache=%q)",
 		ln.Addr(), workers, queue, cache))
 
@@ -147,8 +147,7 @@ func run(addr string, workers, queue, simPar, retain int, cache string, drainTim
 		_ = ds.Close()
 	}
 	<-errCh // Serve has returned http.ErrServerClosed
-	// "exited cleanly" is the shutdown contract the smoke script and the
-	// e2e test grep for.
+	// "exited cleanly" is the shutdown contract the e2e test greps for.
 	logger.Info("catad: exited cleanly")
 	return nil
 }

@@ -5,8 +5,8 @@ package cata_test
 // paper's six workloads. Any drift in makespans, energy, or scheduler
 // counters fails with a field-level diff. The fixtures pin simulation
 // *behavior*; performance work on the engine must land with zero golden
-// diffs (the perf harness's checksums gate the same property across
-// machines at larger scale).
+// diffs (TestPolicyChecksums in internal/exp pins the same property at
+// larger scale, for every registered policy).
 //
 // Regenerate intentionally with:
 //

@@ -240,6 +240,59 @@ func TestCacheIgnoresTruncatedLine(t *testing.T) {
 	}
 }
 
+// TestCachePutAfterTornWrite: a record appended after a torn write
+// survives a reopen. Open drops the partial line from the file, so the
+// next Put starts on a line of its own instead of extending it.
+func TestCachePutAfterTornWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	c, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"b","val`); err != nil { // killed mid-write
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Put("c", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c3, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	for key, want := range map[string]string{"a": "1", "c": "3"} {
+		if v, ok := c3.Get(key); !ok || string(v) != want {
+			b, _ := os.ReadFile(path)
+			t.Fatalf("Get(%q) = %s, %v after reopen; want %s. File:\n%s", key, v, ok, want, b)
+		}
+	}
+	if _, ok := c3.Get("b"); ok {
+		t.Fatal("torn record loaded")
+	}
+}
+
 // TestProgressStream: progress lines reach the writer with counts, the
 // resume summary, failures, and the caller's note.
 func TestProgressStream(t *testing.T) {

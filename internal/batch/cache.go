@@ -2,6 +2,7 @@ package batch
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -26,7 +27,8 @@ func Key(v any) (string, error) {
 // Cache is an append-only JSONL store of successful results keyed by
 // content-addressed spec hashes. Each line is a self-contained
 // {"key":…,"value":…} record, so a run killed mid-write loses at most
-// its final, partial line — Open skips lines that fail to parse.
+// its final, partial line: Open cuts that line off and skips any other
+// line that fails to parse.
 type Cache struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -48,16 +50,39 @@ func Open(path string) (*Cache, error) {
 	c := &Cache{f: f, entries: map[string]json.RawMessage{}}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	// Only newline-terminated lines are records. end is the offset past
+	// the last newline; torn marks bytes after it, a write cut short.
+	var end int64
+	torn := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			end += int64(i + 1)
+			return i + 1, data[:i], nil
+		}
+		if atEOF && len(data) > 0 {
+			torn = true
+			return len(data), nil, nil
+		}
+		return 0, nil, nil
+	})
 	for sc.Scan() {
 		var line cacheLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil || line.Key == "" {
-			continue // truncated or foreign line: ignore, don't fail the sweep
+			continue // corrupt or foreign line: ignore, don't fail the sweep
 		}
 		c.entries[line.Key] = line.Value
 	}
 	if err := sc.Err(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("batch: reading cache: %w", err)
+	}
+	// Cut the torn tail, or the next Put would extend it into one
+	// unparseable line and lose its own record on reload.
+	if torn {
+		if err := f.Truncate(end); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("batch: truncating torn cache tail: %w", err)
+		}
 	}
 	return c, nil
 }

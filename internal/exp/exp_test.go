@@ -96,23 +96,6 @@ func TestEveryPolicyRuns(t *testing.T) {
 	}
 }
 
-func TestRunAllParallelOrder(t *testing.T) {
-	specs := []RunSpec{
-		{Workload: "swaptions", Policy: FIFO, FastCores: 2, Cores: 4, Scale: 0.05},
-		{Workload: "dedup", Policy: FIFO, FastCores: 2, Cores: 4, Scale: 0.05},
-		{Workload: "ferret", Policy: FIFO, FastCores: 2, Cores: 4, Scale: 0.05},
-	}
-	ms, err := RunAll(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range ms {
-		if m.Spec.Workload != specs[i].Workload {
-			t.Fatalf("result %d is %s, want %s", i, m.Spec.Workload, specs[i].Workload)
-		}
-	}
-}
-
 func TestRunDeterministic(t *testing.T) {
 	spec := RunSpec{Workload: "fluidanimate", Policy: CATA, FastCores: 4, Cores: 8, Scale: 0.2}
 	a, err := Run(spec)

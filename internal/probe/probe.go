@@ -228,41 +228,3 @@ func (b *Buffer) QueueDepth(now sim.Time, ready, critical int) {
 func (b *Buffer) Events() int {
 	return len(b.Tasks) + len(b.Freqs) + len(b.Writes) + len(b.Accels) + len(b.Powers) + len(b.Queues)
 }
-
-// Nop is a Recorder that drops every event. Probe sites treat a nil
-// Recorder as disabled, so Nop is only needed where a non-nil recorder
-// must be passed (e.g. overhead tests comparing against the nil path).
-type Nop struct{}
-
-// TaskReady implements Recorder.
-func (Nop) TaskReady(sim.Time, *tdg.Task) {}
-
-// TaskDispatch implements Recorder.
-func (Nop) TaskDispatch(sim.Time, *tdg.Task, int) {}
-
-// TaskStart implements Recorder.
-func (Nop) TaskStart(sim.Time, *tdg.Task, int, sim.Time) {}
-
-// TaskEnd implements Recorder.
-func (Nop) TaskEnd(sim.Time, *tdg.Task, int) {}
-
-// FreqRequest implements Recorder.
-func (Nop) FreqRequest(sim.Time, int, int) {}
-
-// FreqActual implements Recorder.
-func (Nop) FreqActual(sim.Time, int, int, sim.Hertz, sim.Time) {}
-
-// CpufreqWrite implements Recorder.
-func (Nop) CpufreqWrite(sim.Time, int, int, int, sim.Time, sim.Time) {}
-
-// AccelGrant implements Recorder.
-func (Nop) AccelGrant(sim.Time, int, bool, int, int) {}
-
-// AccelDeny implements Recorder.
-func (Nop) AccelDeny(sim.Time, int, bool, int, int) {}
-
-// Power implements Recorder.
-func (Nop) Power(sim.Time, float64) {}
-
-// QueueDepth implements Recorder.
-func (Nop) QueueDepth(sim.Time, int, int) {}

@@ -42,19 +42,6 @@ func TestDisabledRecorderZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestNopRecorderZeroAllocs pins the same property through a non-nil
-// recorder: the method calls themselves must not box their arguments.
-func TestNopRecorderZeroAllocs(t *testing.T) {
-	task := &tdg.Task{ID: 1}
-	var rec Recorder = Nop{}
-	allocs := testing.AllocsPerRun(1000, func() {
-		emitAll(rec, task)
-	})
-	if allocs != 0 {
-		t.Fatalf("Nop recorder path allocates %.1f allocs/op, want 0", allocs)
-	}
-}
-
 func TestBufferRecordsEverything(t *testing.T) {
 	b := NewBuffer()
 	task := &tdg.Task{ID: 9, Core: -1, Critical: true}

@@ -421,6 +421,99 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestTracedRunServesRecording: a run submitted with "trace": true keeps
+// its flight recording, served at /v1/jobs/{id}/trace as a Chrome trace
+// document with all three track types: spans ("X"), counters ("C") and
+// instants ("i"). The same config run untraced first, so the traced run
+// is not answered from the cache; the untraced job has no trace (404).
+func TestTracedRunServesRecording(t *testing.T) {
+	_, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+	cfg := cata.RunConfig{Workload: "swaptions", Policy: cata.PolicyCATA, FastCores: 8, Scale: 0.05}
+	var ids []string
+	for _, trace := range []bool{false, true} {
+		cfg.Trace = trace
+		st, err := c.SubmitRun(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitTerminal(t, c, st.ID); final.State != cata.JobSucceeded {
+			t.Fatalf("trace=%v job state = %s", trace, final.State)
+		}
+		ids = append(ids, st.ID)
+	}
+
+	data, err := c.Trace(ctx, ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("served trace does not parse: %v", err)
+	}
+	phases := map[string]int{}
+	for _, e := range doc.TraceEvents {
+		phases[e.Ph]++
+	}
+	for _, ph := range []string{"X", "C", "i"} {
+		if phases[ph] == 0 {
+			t.Errorf("served trace has no %q events (phases %v)", ph, phases)
+		}
+	}
+
+	var se *cata.ServiceError
+	if _, err := c.Trace(ctx, ids[0]); !errors.As(err, &se) || se.StatusCode != http.StatusNotFound {
+		t.Fatalf("trace of an untraced job: err = %v, want a 404", err)
+	}
+}
+
+// TestOpenSystemRun: a run with an arrival process comes back with its
+// open-system report (arrivals, completions, response-time percentiles)
+// and moves the opensys job counter by every injected job and the
+// response-time histogram by every completed one.
+func TestOpenSystemRun(t *testing.T) {
+	_, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+	before := scrapeMetrics(t, c)
+
+	st, err := c.SubmitRun(ctx, cata.RunConfig{
+		Workload: "forkjoin:width=4,phases=2,dur=50", Policy: cata.PolicyCATA,
+		FastCores: 8, Cores: 8, Arrivals: "poisson:lambda=2000,jobs=20,deadline=5ms,cap=4",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, c, st.ID)
+	if final.State != cata.JobSucceeded || final.Result == nil || len(final.Result.Results) != 1 {
+		t.Fatalf("open-system job = %+v", final)
+	}
+	res := final.Result.Results[0].Result
+	if res == nil || res.Open == nil {
+		t.Fatalf("result carries no open-system report: %+v", final.Result.Results[0])
+	}
+	o := res.Open
+	if o.JobsArrived != 20 || o.JobsCompleted == 0 || o.JobsCompleted+o.JobsShed != o.JobsArrived {
+		t.Errorf("arrived %d, completed %d, shed %d; want 20 arrivals, each completed or shed",
+			o.JobsArrived, o.JobsCompleted, o.JobsShed)
+	}
+	if o.P50 <= 0 || o.P99 < o.P50 || o.P999 < o.P99 {
+		t.Errorf("response percentiles p50 %v, p99 %v, p99.9 %v: want 0 < p50 <= p99 <= p99.9", o.P50, o.P99, o.P999)
+	}
+
+	after := scrapeMetrics(t, c)
+	delta := func(name string) float64 { return after[name] - before[name] }
+	if d := delta("cata_opensys_jobs_total"); d < 20 {
+		t.Errorf("cata_opensys_jobs_total delta = %v, want >= 20", d)
+	}
+	if d := delta("cata_opensys_response_seconds_count"); d < float64(o.JobsCompleted) {
+		t.Errorf("cata_opensys_response_seconds_count delta = %v, want >= %d completed jobs", d, o.JobsCompleted)
+	}
+}
+
 // TestPolicySpecValidation: bad policy specs are rejected at admission
 // with a structured 400 naming the offending component, and a
 // registered policy is fully usable through the daemon by its spec

@@ -180,37 +180,3 @@ func TestEngineArenaReuse(t *testing.T) {
 		t.Fatalf("arena grew to %d slots under churn; free-list reuse broken", len(e.arena))
 	}
 }
-
-func BenchmarkEngineCancelReschedule(b *testing.B) {
-	e := NewEngine()
-	b.ReportAllocs()
-	var h Handle
-	for i := 0; i < b.N; i++ {
-		if h.Pending() {
-			h.Cancel()
-		}
-		h = e.After(Time(i%100+1), func() {})
-		if i%64 == 0 {
-			e.Run()
-		}
-	}
-	e.Run()
-}
-
-// BenchmarkEngineDeepQueue measures push/pop with a standing queue of 4k
-// events — the regime where heap arity matters.
-func BenchmarkEngineDeepQueue(b *testing.B) {
-	e := NewEngine()
-	for i := 0; i < 4096; i++ {
-		e.After(Time(i+1), func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	n := 0
-	e.RunUntil(0)
-	for i := 0; i < b.N; i++ {
-		// Fire one event and schedule a replacement, keeping depth steady.
-		e.After(Time(4096), func() { n++ })
-		e.RunUntil(e.Now() + 1)
-	}
-}

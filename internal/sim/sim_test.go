@@ -315,18 +315,6 @@ func TestEngineCancelProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineScheduleFire(b *testing.B) {
-	e := NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.After(Time(i%1000), func() {})
-		if e.Pending() > 10000 {
-			e.Run()
-		}
-	}
-	e.Run()
-}
-
 func TestEngineFired(t *testing.T) {
 	e := NewEngine()
 	e.At(1, func() {})
