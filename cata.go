@@ -6,6 +6,7 @@ import (
 
 	"cata/internal/exp"
 	"cata/internal/opensys"
+	"cata/internal/policies"
 	"cata/internal/sim"
 	"cata/internal/workloads"
 )
@@ -16,8 +17,10 @@ import (
 // constants below name the built-in configurations; anything in
 // PolicyDocs — including policies registered after this module was
 // written — is an equally valid value. Use ParsePolicy to validate and
-// canonicalize user input; the zero value means PolicyFIFO.
-type Policy string
+// canonicalize user input; the zero value means PolicyFIFO. A Policy
+// prints and encodes as its canonical spec string, the representation
+// the result cache and the catad wire format use.
+type Policy = exp.Policy
 
 // The paper's six evaluated configurations (§V), the two built-in
 // extensions, and the first externally registered policy.
@@ -56,18 +59,10 @@ const (
 
 // AllPolicies returns every paper-evaluated policy in evaluation order
 // (the extensions are listed by ExtensionPolicies).
-func AllPolicies() []Policy { return fromInternalAll(exp.AllPolicies()) }
+func AllPolicies() []Policy { return exp.AllPolicies() }
 
 // ExtensionPolicies returns the beyond-the-paper configurations.
-func ExtensionPolicies() []Policy { return fromInternalAll(exp.ExtensionPolicies()) }
-
-func fromInternalAll(ips []exp.Policy) []Policy {
-	ps := make([]Policy, len(ips))
-	for i, ip := range ips {
-		ps[i] = fromInternal(ip)
-	}
-	return ps
-}
+func ExtensionPolicies() []Policy { return exp.ExtensionPolicies() }
 
 // PolicyParam documents one typed policy parameter, as accepted in a
 // policy spec's `key=val` list and validated before a run is admitted.
@@ -107,11 +102,11 @@ type PolicyInfo struct {
 // paper's six in evaluation order, then the built-in extensions, then
 // external registrations like AMTHA.
 func PolicyDocs() []PolicyInfo {
-	ds := exp.PolicyDocs()
-	infos := make([]PolicyInfo, len(ds))
-	for i, d := range ds {
-		params := make([]PolicyParam, len(d.Params))
-		for j, pd := range d.Params {
+	es := policies.List()
+	infos := make([]PolicyInfo, len(es))
+	for i, e := range es {
+		params := make([]PolicyParam, len(e.Params))
+		for j, pd := range e.Params {
 			params[j] = PolicyParam{
 				Key:     pd.Key,
 				Kind:    pd.Kind.String(),
@@ -121,10 +116,10 @@ func PolicyDocs() []PolicyInfo {
 			}
 		}
 		infos[i] = PolicyInfo{
-			Policy:    fromInternal(d.Policy),
-			Label:     d.Label,
-			Extension: d.Extension,
-			Summary:   d.Summary,
+			Policy:    Policy(e.Name),
+			Label:     e.Name,
+			Extension: e.Extension,
+			Summary:   e.Summary,
 			Params:    params,
 		}
 	}
@@ -134,14 +129,7 @@ func PolicyDocs() []PolicyInfo {
 // PolicyLabels returns the names of every registered policy, the
 // accepted bare inputs of ParsePolicy. CLI -policy help strings are
 // built from it.
-func PolicyLabels() []string {
-	ds := exp.PolicyDocs()
-	labels := make([]string, len(ds))
-	for i, d := range ds {
-		labels[i] = d.Label
-	}
-	return labels
-}
+func PolicyLabels() []string { return policies.Names() }
 
 // Fig4Policies returns the software-only configurations of Figure 4.
 func Fig4Policies() []Policy {
@@ -153,41 +141,13 @@ func Fig5Policies() []Policy {
 	return []Policy{PolicyCATA, PolicyCATARSU, PolicyTurboMode}
 }
 
-// String returns the policy's canonical spec (for the built-in
-// configurations, the paper's label).
-func (p Policy) String() string { return p.internal().String() }
-
-// MarshalJSON encodes the policy as its canonical spec string (e.g.
-// "CATA+RSU"), the same representation the result cache and the catad
-// wire format use, so JSON stays readable and stable.
-func (p Policy) MarshalJSON() ([]byte, error) {
-	return p.internal().MarshalJSON()
-}
-
-// UnmarshalJSON decodes and validates a policy spec, as accepted by
-// ParsePolicy.
-func (p *Policy) UnmarshalJSON(b []byte) error {
-	var ip exp.Policy
-	if err := ip.UnmarshalJSON(b); err != nil {
-		return err
-	}
-	*p = fromInternal(ip)
-	return nil
-}
-
 // ParsePolicy resolves a policy spec — a registered name, matched
 // case-insensitively, with optional typed parameters ("FIFO",
 // "cata+rsu", "CATS+BL:theta=0.8", "AMTHA:tiebreak=spread") — against
 // the policy registry, validating every parameter key, type and bound.
 // The returned Policy is canonical: case and parameter order are
 // normalized so equal configurations compare (and cache) equal.
-func ParsePolicy(s string) (Policy, error) {
-	ip, err := exp.ParsePolicy(s)
-	if err != nil {
-		return "", err
-	}
-	return fromInternal(ip), nil
-}
+func ParsePolicy(s string) (Policy, error) { return exp.ParsePolicy(s) }
 
 // ValidatePolicy reports whether a policy spec resolves against the
 // registry, without running anything. Services use it to reject bad
@@ -196,9 +156,6 @@ func ValidatePolicy(s string) error {
 	_, err := exp.ParsePolicy(s)
 	return err
 }
-
-func (p Policy) internal() exp.Policy  { return exp.Policy(p) }
-func fromInternal(p exp.Policy) Policy { return Policy(p) }
 
 // RunConfig describes one simulation. The JSON form (snake_case keys,
 // policies as paper labels, durations in nanoseconds) is the request
@@ -445,7 +402,7 @@ func toOpenResult(rep *opensys.Report) *OpenResult {
 func (cfg RunConfig) spec() (exp.RunSpec, error) {
 	spec := exp.RunSpec{
 		Workload:          cfg.Workload,
-		Policy:            cfg.Policy.internal(),
+		Policy:            cfg.Policy,
 		FastCores:         cfg.FastCores,
 		Cores:             cfg.Cores,
 		Seed:              cfg.Seed,

@@ -90,6 +90,11 @@ func New(eng *sim.Engine, mach *machine.Machine, costs Costs) *Framework {
 // SetRecorder attaches a flight recorder reporting completed writes.
 func (f *Framework) SetRecorder(rec probe.Recorder) { f.rec = rec }
 
+// Harvest reports the worst wait on the kernel driver lock.
+func (f *Framework) Harvest(st *stats.Reconfig, _ sim.Time) {
+	st.DriverLockWaitMax = f.lock.WaitTimes().MaxTime()
+}
+
 // armHousekeeping starts the periodic kernel housekeeping on the first
 // write and keeps it running only while writes keep coming, so an idle
 // system (and the event queue) quiesces.

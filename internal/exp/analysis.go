@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"cata/internal/machine"
-	"cata/internal/rsu"
 	"cata/internal/sim"
 )
 
@@ -59,22 +58,6 @@ func VCTable(rows []VCRow) string {
 		fmt.Fprintf(&b, "%-14s %8d %12v %12v %12v %8.2f%%\n",
 			r.Workload, r.ReconfigOps, r.ReconfigLatencyAvg,
 			r.ReconfigLatencyMax, r.LockWaitMax, r.OverheadPct)
-	}
-	return b.String()
-}
-
-// RSUCostTable renders the §III-B.4 storage/area/power model for a range
-// of machine sizes, with the paper's 32-core dual-rail point included.
-func RSUCostTable() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-8s %8s %12s %14s %10s\n",
-		"cores", "levels", "bits", "area(µm²)", "die fraction", "power(µW)")
-	for _, n := range []int{8, 16, 32, 64, 128} {
-		for _, p := range []int{2, 4} {
-			c := rsu.CostOf(n, p)
-			fmt.Fprintf(&b, "%-8d %-8d %8d %12.1f %13.7f%% %10.1f\n",
-				n, p, c.StorageBits, c.AreaUm2, c.DieFraction*100, c.PowerWatts*1e6)
-		}
 	}
 	return b.String()
 }

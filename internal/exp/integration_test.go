@@ -7,7 +7,11 @@ package exp
 import (
 	"testing"
 
+	"cata/internal/policies"
+	"cata/internal/rsm"
+	"cata/internal/rsu"
 	"cata/internal/sim"
+	"cata/internal/turbo"
 	"cata/internal/workloads"
 )
 
@@ -38,13 +42,29 @@ func sampleDuringRun(t *testing.T, spec RunSpec, every sim.Time, sample func(*ri
 	return samples
 }
 
+// acceleratedCount returns the accelerated-core count of a module that
+// keeps one — the RSM, the RSU and TurboMode's controller, each read
+// through its own type.
+func acceleratedCount(m policies.Module) (int, bool) {
+	switch m := m.(type) {
+	case *rsm.RSM:
+		return m.AcceleratedCount(), true
+	case *rsu.RSU:
+		return m.AcceleratedCount(), true
+	case *turbo.Controller:
+		return m.AcceleratedCount(), true
+	}
+	return 0, false
+}
+
 // TestBudgetInvariantDuringFullRuns: at no point during a CATA, CATA+RSU
-// or TurboMode run may the committed fast-core count exceed the budget.
+// or TurboMode run may the committed fast-core count exceed the budget,
+// nor may the accelerated count the policy's module keeps.
 func TestBudgetInvariantDuringFullRuns(t *testing.T) {
 	for _, policy := range []Policy{CATA, CATARSU, TURBO, CATARSUHA} {
 		for _, w := range []string{"swaptions", "dedup"} {
 			const budget = 3
-			violations := 0
+			violations, moduleChecks := 0, 0
 			n := sampleDuringRun(t, RunSpec{
 				Workload: w, Policy: policy, FastCores: budget,
 				Cores: 8, Scale: 0.15,
@@ -52,18 +72,20 @@ func TestBudgetInvariantDuringFullRuns(t *testing.T) {
 				if r.mach.DVFS.CommittedFast() > budget {
 					violations++
 				}
-				if r.rsmMod != nil && r.rsmMod.AcceleratedCount() > budget {
-					violations++
-				}
-				if r.rsuUnit != nil && r.rsuUnit.AcceleratedCount() > budget {
-					violations++
-				}
-				if r.turboC != nil && r.turboC.AcceleratedCount() > budget {
-					violations++
+				for _, m := range r.modules {
+					if accel, ok := acceleratedCount(m); ok {
+						moduleChecks++
+						if accel > budget {
+							violations++
+						}
+					}
 				}
 			})
 			if n < 10 {
 				t.Fatalf("%v/%s: only %d samples — run too short to mean anything", policy, w, n)
+			}
+			if moduleChecks < n {
+				t.Fatalf("%v/%s: module accelerated count checked in %d of %d samples", policy, w, moduleChecks, n)
 			}
 			if violations > 0 {
 				t.Errorf("%v/%s: %d budget violations across %d samples", policy, w, violations, n)
@@ -81,7 +103,16 @@ func TestUnitBudgetInvariantDuringMLRun(t *testing.T) {
 		Workload: "swaptions", Policy: CATA3L, FastCores: fastCores,
 		Cores: 8, Scale: 0.15,
 	}, 50*sim.Microsecond, func(r *rig) {
-		if r.mlUnit.UnitsUsed() > r.mlUnit.UnitBudget() {
+		var ml *rsu.MultiLevel
+		for _, m := range r.modules {
+			if u, ok := m.(*rsu.MultiLevel); ok {
+				ml = u
+			}
+		}
+		if ml == nil {
+			t.Fatalf("CATA+RSU-3L modules %T carry no multi-level unit", r.modules)
+		}
+		if ml.UnitsUsed() > ml.UnitBudget() {
 			violations++
 		}
 	})

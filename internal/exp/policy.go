@@ -15,17 +15,12 @@ package exp
 import (
 	"encoding/json"
 
-	"cata/internal/cpufreq"
 	"cata/internal/machine"
 	"cata/internal/policies"
 	"cata/internal/probe"
-	"cata/internal/rsm"
-	"cata/internal/rsu"
 	"cata/internal/rts"
 	"cata/internal/sched"
 	"cata/internal/sim"
-	"cata/internal/spec"
-	"cata/internal/turbo"
 )
 
 // Policy is one system configuration, held as a canonical policy spec
@@ -67,42 +62,6 @@ const (
 	AMTHA Policy = "AMTHA"
 )
 
-// PolicyDoc describes one policy for help strings, listings and tables.
-// The open registry (internal/policies) is the single source of truth
-// for the policy set: String, ParsePolicy, AllPolicies,
-// ExtensionPolicies, the CLIs' -policy help and the README policy table
-// all derive from it (the last enforced by a test), so registered
-// policies can never drift apart across lists.
-type PolicyDoc struct {
-	// Policy is the canonical bare spec (no parameters).
-	Policy Policy
-	// Label is the policy's display name (the paper's label for the
-	// configurations it evaluates).
-	Label string
-	// Extension marks beyond-the-paper configurations.
-	Extension bool
-	// Summary is a one-line description.
-	Summary string
-	// Params documents the policy's typed spec parameters.
-	Params []spec.ParamDoc
-}
-
-// PolicyDocs returns documentation for every registered policy: paper
-// order first, then the extensions, then external registrations.
-func PolicyDocs() []PolicyDoc {
-	var ds []PolicyDoc
-	for _, e := range policies.List() {
-		ds = append(ds, PolicyDoc{
-			Policy:    Policy(e.Name),
-			Label:     e.Name,
-			Extension: e.Extension,
-			Summary:   e.Summary,
-			Params:    e.Params,
-		})
-	}
-	return ds
-}
-
 // Fig4Policies are the software-only configurations of Figure 4.
 func Fig4Policies() []Policy { return []Policy{FIFO, CATSBL, CATSSA, CATA} }
 
@@ -110,8 +69,8 @@ func Fig4Policies() []Policy { return []Policy{FIFO, CATSBL, CATSSA, CATA} }
 // as the normalization baseline).
 func Fig5Policies() []Policy { return []Policy{CATA, CATARSU, TURBO} }
 
-// AllPolicies returns every paper-evaluated policy once (the extensions
-// are opt-in; see ExtensionPolicies).
+// AllPolicies returns every paper-evaluated policy once, in the
+// registry's order (the extensions are opt-in; see ExtensionPolicies).
 func AllPolicies() []Policy { return policiesWhere(false) }
 
 // ExtensionPolicies returns the beyond-the-paper configurations,
@@ -120,9 +79,9 @@ func ExtensionPolicies() []Policy { return policiesWhere(true) }
 
 func policiesWhere(extension bool) []Policy {
 	var ps []Policy
-	for _, d := range PolicyDocs() {
-		if d.Extension == extension {
-			ps = append(ps, d.Policy)
+	for _, e := range policies.List() {
+		if e.Extension == extension {
+			ps = append(ps, Policy(e.Name))
 		}
 	}
 	return ps
@@ -177,12 +136,9 @@ type rig struct {
 	mach    *machine.Machine
 	runtime *rts.Runtime
 
-	// Non-nil depending on policy, for statistics harvesting.
-	rsmMod  *rsm.RSM
-	rsuUnit *rsu.RSU
-	mlUnit  *rsu.MultiLevel
-	turboC  *turbo.Controller
-	fw      *cpufreq.Framework
+	// modules are the policy's reconfiguration modules, traced and
+	// harvested by the harness.
+	modules []policies.Module
 
 	// probe is the flight recorder, non-nil only when the spec requested
 	// a trace; fast snapshots the core classes at time zero.
@@ -250,21 +206,11 @@ func buildRig(spec RunSpec, prog programHolder) (*rig, error) {
 	if err := entry.Build(params, env); err != nil {
 		return nil, err
 	}
-	r.fw = env.FW
-	r.rsmMod = env.RSM
-	r.rsuUnit = env.RSU
-	r.mlUnit = env.ML
-	r.turboC = env.Turbo
+	r.modules = env.Modules
 
 	if r.probe != nil {
-		if r.fw != nil {
-			r.fw.SetRecorder(r.probe)
-		}
-		if r.rsmMod != nil {
-			r.rsmMod.SetRecorder(r.probe)
-		}
-		if r.rsuUnit != nil {
-			r.rsuUnit.SetRecorder(r.probe)
+		for _, m := range r.modules {
+			m.SetRecorder(r.probe)
 		}
 		r.fast = make([]bool, mach.Cores())
 		for i := range r.fast {

@@ -12,6 +12,7 @@ import (
 	"cata/internal/rts"
 	"cata/internal/sched"
 	"cata/internal/sim"
+	"cata/internal/stats"
 	"cata/internal/trace"
 	"cata/internal/workloads"
 )
@@ -158,20 +159,10 @@ type Measurement struct {
 	Steals        int64 // slow-core HPRQ steals (CATS)
 	StaticBinding int64 // fast core idled while critical ran slow (§II-C)
 
-	// DVFS / reconfiguration behavior (§V-C).
-	Transitions         int64    // physical V/f transitions
-	ReconfigOps         int64    // RSM or RSU start/end operations
-	ReconfigLatencyAvg  sim.Time // software op latency (CATA only)
-	ReconfigLatencyMax  sim.Time
-	LockWaitMax         sim.Time // worst RSM-lock acquisition (CATA only)
-	DriverLockWaitMax   sim.Time // worst kernel cpufreq-lock wait
-	ReconfigOverheadPct float64  // reconfiguration core-time / total core-time
-	TurboReassigns      int64    // TurboMode halt-driven handoffs
-
-	// Acceleration-decision accounting (CATA's RSM; granted also for RSU).
-	AccelsGranted     int64   // accelerations granted
-	AccelsDenied      int64   // task starts denied acceleration (budget exhausted)
-	BudgetUtilization float64 // time-averaged accelerated cores / budget, in [0,1]
+	// DVFS / reconfiguration behavior (§V-C): the machine's physical
+	// V/f transitions, then what the policy's modules report.
+	Transitions int64
+	stats.Reconfig
 
 	// AvgUtilization is mean busy-time/makespan across cores in [0,1].
 	AvgUtilization float64
@@ -276,35 +267,8 @@ func runWith(spec RunSpec, holder programHolder) (Measurement, error) {
 		m.Inversions = st.CriticalToSlow
 		m.Steals = st.Steals
 	}
-	if rig.rsmMod != nil {
-		accels, decels := rig.rsmMod.Reconfigs()
-		m.ReconfigOps = accels + decels
-		m.ReconfigLatencyAvg = rig.rsmMod.OpLatency().MeanTime()
-		m.ReconfigLatencyMax = rig.rsmMod.OpLatency().MaxTime()
-		m.LockWaitMax = rig.rsmMod.Lock().WaitTimes().MaxTime()
-		total := float64(res.Makespan) * float64(spec.Cores)
-		m.ReconfigOverheadPct = 100 * float64(rig.rsmMod.OpTimeTotal()) / total
-		m.AccelsGranted = accels
-		m.AccelsDenied = rig.rsmMod.Denied()
-		if spec.FastCores > 0 && res.Makespan > 0 {
-			m.BudgetUtilization = float64(rig.rsmMod.AccelCoreTime()) /
-				(float64(res.Makespan) * float64(spec.FastCores))
-		}
-	}
-	if rig.fw != nil {
-		m.DriverLockWaitMax = rig.fw.DriverLock().WaitTimes().MaxTime()
-	}
-	if rig.rsuUnit != nil {
-		accels, decels := rig.rsuUnit.Reconfigs()
-		m.ReconfigOps = accels + decels
-		m.AccelsGranted = accels
-	}
-	if rig.mlUnit != nil {
-		ups, downs := rig.mlUnit.Moves()
-		m.ReconfigOps = ups + downs
-	}
-	if rig.turboC != nil {
-		m.TurboReassigns = rig.turboC.Reassigns()
+	for _, mod := range rig.modules {
+		mod.Harvest(&m.Reconfig, res.Makespan)
 	}
 	if res.Makespan > 0 {
 		var busy sim.Time

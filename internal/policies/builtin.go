@@ -69,9 +69,10 @@ func init() {
 			Name:    "CATA",
 			Summary: "criticality-driven acceleration in software via the cpufreq stack",
 			Build: func(_ spec.Params, env *Env) error {
-				env.FW = cpufreq.New(env.Eng, env.Mach, cpufreq.DefaultCosts())
-				env.RSM = rsm.New(env.Eng, env.Mach, env.FW, env.FastCores)
-				env.Cfg.Reconfig = rts.RSMReconfig{RSM: env.RSM}
+				fw := cpufreq.New(env.Eng, env.Mach, cpufreq.DefaultCosts())
+				r := rsm.New(env.Eng, env.Mach, fw, env.FastCores)
+				env.Modules = append(env.Modules, r, fw)
+				env.Cfg.Reconfig = rts.RSMReconfig{RSM: r}
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},
@@ -80,9 +81,10 @@ func init() {
 			Name:    "CATA+RSU",
 			Summary: "CATA with the hardware Runtime Support Unit",
 			Build: func(_ spec.Params, env *Env) error {
-				env.RSU = rsu.New(env.Eng, env.Mach)
-				env.RSU.Init(env.FastCores)
-				env.Cfg.Reconfig = rts.RSUReconfig{RSU: env.RSU, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
+				u := rsu.New(env.Eng, env.Mach)
+				u.Init(env.FastCores)
+				env.Modules = append(env.Modules, u)
+				env.Cfg.Reconfig = rts.RSUReconfig{RSU: u, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},
@@ -91,8 +93,9 @@ func init() {
 			Name:    "TurboMode",
 			Summary: "criticality-blind acceleration of random ready cores",
 			Build: func(_ spec.Params, env *Env) error {
-				env.Turbo = turbo.New(env.Eng, env.Mach, env.FastCores, xrand.New(env.Seed).Stream("turbo"))
-				env.Turbo.Start()
+				c := turbo.New(env.Eng, env.Mach, env.FastCores, xrand.New(env.Seed).Stream("turbo"))
+				c.Start()
+				env.Modules = append(env.Modules, c)
 				env.Cfg.NewScheduler = func(info sched.CoreInfo) sched.Scheduler { return sched.NewFIFO(info) }
 				return nil
 			},
@@ -102,10 +105,11 @@ func init() {
 			Extension: true,
 			Summary:   "CATA+RSU that re-budgets cores halted in kernel IO",
 			Build: func(_ spec.Params, env *Env) error {
-				env.RSU = rsu.New(env.Eng, env.Mach)
-				env.RSU.Init(env.FastCores)
-				rsu.NewHaltAware(env.RSU, env.Mach)
-				env.Cfg.Reconfig = rts.RSUReconfig{RSU: env.RSU, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
+				u := rsu.New(env.Eng, env.Mach)
+				u.Init(env.FastCores)
+				rsu.NewHaltAware(u, env.Mach)
+				env.Modules = append(env.Modules, u)
+				env.Cfg.Reconfig = rts.RSUReconfig{RSU: u, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},
@@ -125,9 +129,10 @@ func init() {
 			Build: func(_ spec.Params, env *Env) error {
 				// Same power envelope as `FastCores` fast cores: fast costs 2
 				// units, so the pool is 2x the fast-core budget.
-				env.ML = rsu.NewMultiLevel(env.Eng, env.Mach, rsu.ThreeLevelUnitCosts())
-				env.ML.Init(2 * env.FastCores)
-				env.Cfg.Reconfig = rts.RSUReconfig{RSU: env.ML, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
+				ml := rsu.NewMultiLevel(env.Eng, env.Mach, rsu.ThreeLevelUnitCosts())
+				ml.Init(2 * env.FastCores)
+				env.Modules = append(env.Modules, ml)
+				env.Cfg.Reconfig = rts.RSUReconfig{RSU: ml, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},

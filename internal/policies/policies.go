@@ -24,15 +24,26 @@ import (
 	"sort"
 	"strings"
 
-	"cata/internal/cpufreq"
 	"cata/internal/machine"
-	"cata/internal/rsm"
-	"cata/internal/rsu"
+	"cata/internal/probe"
 	"cata/internal/rts"
 	"cata/internal/sim"
 	"cata/internal/spec"
-	"cata/internal/turbo"
+	"cata/internal/stats"
 )
+
+// Module is a reconfiguration mechanism a policy instantiates for one
+// run: the RSM and the cpufreq stack under it, an RSU, TurboMode's
+// controller. The experiment harness attaches the run's flight recorder
+// (when one was requested) to every registered module before the run,
+// and has each report its own statistics after it.
+type Module interface {
+	// SetRecorder attaches the run's flight recorder.
+	SetRecorder(probe.Recorder)
+	// Harvest writes the module's statistics for a run that lasted
+	// makespan into st.
+	Harvest(st *stats.Reconfig, makespan sim.Time)
+}
 
 // Env is the per-run wiring surface handed to a policy's Build hook: the
 // engine and machine already exist, and Cfg is the runtime configuration
@@ -40,9 +51,8 @@ import (
 // in. Cfg.Program is the closed-system program (nil for open-system
 // runs), available to policies that precompute from the task graph.
 //
-// A policy that instantiates one of the optional modules stores it in
-// the matching harvest slot so the experiment harness can collect its
-// statistics after the run.
+// A policy appends every module it instantiates to Modules, so the
+// experiment harness can trace it and collect its statistics.
 type Env struct {
 	// Eng is the simulation engine.
 	Eng *sim.Engine
@@ -54,13 +64,8 @@ type Env struct {
 	FastCores int
 	// Seed is the run's seed, for policies that need randomness.
 	Seed uint64
-
-	// RSM, RSU, ML, Turbo and FW are the harvest slots.
-	RSM   *rsm.RSM
-	RSU   *rsu.RSU
-	ML    *rsu.MultiLevel
-	Turbo *turbo.Controller
-	FW    *cpufreq.Framework
+	// Modules are the run's reconfiguration modules.
+	Modules []Module
 }
 
 // Entry is one registered policy: a named configuration with typed,

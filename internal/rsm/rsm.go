@@ -121,11 +121,6 @@ func (r *RSM) Lock() *cpufreq.Lock { return r.lock }
 // operations issued.
 func (r *RSM) Reconfigs() (accels, decels int64) { return r.accels, r.decels }
 
-// Denied returns how many TaskStart operations ended without an
-// acceleration — the task ran non-accelerated because the budget was
-// exhausted and (for critical tasks) no non-critical victim existed.
-func (r *RSM) Denied() int64 { return r.denies }
-
 // AccelCoreTime returns the accelerated core-time accumulated so far:
 // the integral of the accelerated-core count over simulated time.
 // Dividing by budget × makespan yields the power-budget utilization.
@@ -149,6 +144,23 @@ func (r *RSM) OpLatency() *stats.DurationSummary { return &r.opLatency }
 // OpTimeTotal returns the total core time consumed by reconfiguration
 // operations, for the §V-C overhead percentage.
 func (r *RSM) OpTimeTotal() sim.Time { return r.opTimeTotal }
+
+// Harvest reports a run of the given makespan: operation counts and
+// latencies, the worst runtime-lock wait, reconfiguration core time as a
+// percentage of all core time, and the budget's grants, denials and
+// utilization.
+func (r *RSM) Harvest(st *stats.Reconfig, makespan sim.Time) {
+	st.ReconfigOps = r.accels + r.decels
+	st.ReconfigLatencyAvg = r.opLatency.MeanTime()
+	st.ReconfigLatencyMax = r.opLatency.MaxTime()
+	st.LockWaitMax = r.lock.WaitTimes().MaxTime()
+	st.ReconfigOverheadPct = 100 * float64(r.opTimeTotal) / (float64(makespan) * float64(r.mach.Cores()))
+	st.AccelsGranted = r.accels
+	st.AccelsDenied = r.denies
+	if r.budget > 0 && makespan > 0 {
+		st.BudgetUtilization = float64(r.AccelCoreTime()) / (float64(makespan) * float64(r.budget))
+	}
+}
 
 // TaskStart runs the §III-A algorithm when a task begins on core:
 //

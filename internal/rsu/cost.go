@@ -3,6 +3,7 @@ package rsu
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Cost reproduces the storage/area/power overhead analysis of §III-B.4.
@@ -58,6 +59,22 @@ func ceilLog2(v int) int {
 		return 1
 	}
 	return int(math.Ceil(math.Log2(float64(v))))
+}
+
+// CostTable renders the model for a range of machine sizes, with the
+// paper's 32-core dual-rail point included.
+func CostTable() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-8s %-8s %8s %12s %14s %10s\n",
+		"cores", "levels", "bits", "area(µm²)", "die fraction", "power(µW)")
+	for _, n := range []int{8, 16, 32, 64, 128} {
+		for _, p := range []int{2, 4} {
+			c := CostOf(n, p)
+			fmt.Fprintf(&b, "%-8d %-8d %8d %12.1f %13.7f%% %10.1f\n",
+				n, p, c.StorageBits, c.AreaUm2, c.DieFraction*100, c.PowerWatts*1e6)
+		}
+	}
+	return b.String()
 }
 
 // String summarizes the hardware budget in one line.

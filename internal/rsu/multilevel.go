@@ -5,8 +5,10 @@ import (
 
 	"cata/internal/energy"
 	"cata/internal/machine"
+	"cata/internal/probe"
 	"cata/internal/rsm"
 	"cata/internal/sim"
+	"cata/internal/stats"
 )
 
 // MultiLevel generalizes the RSU to more than two acceleration levels —
@@ -89,9 +91,13 @@ func (m *MultiLevel) Level(core int) energy.Level { return m.level[core] }
 // Ops returns start/end notifications processed.
 func (m *MultiLevel) Ops() int64 { return m.ops }
 
-// Moves returns upgrade and downgrade counts.
-func (m *MultiLevel) Moves() (upgrades, downgrades int64) {
-	return m.upgrades, m.downgrades
+// SetRecorder is a no-op: the unit's level changes reach a flight
+// recording as the machine's own DVFS events.
+func (m *MultiLevel) SetRecorder(probe.Recorder) {}
+
+// Harvest reports the unit's level moves as reconfiguration operations.
+func (m *MultiLevel) Harvest(st *stats.Reconfig, _ sim.Time) {
+	st.ReconfigOps = m.upgrades + m.downgrades
 }
 
 func (m *MultiLevel) free() int { return m.unitBudget - m.unitsUsed }

@@ -18,6 +18,7 @@ import (
 	"cata/internal/probe"
 	"cata/internal/rsm"
 	"cata/internal/sim"
+	"cata/internal/stats"
 )
 
 // RSU is the hardware reconfiguration unit. All operations are
@@ -111,6 +112,12 @@ func (r *RSU) Reconfigs() (accels, decels int64) { return r.accels, r.decels }
 
 // Ops returns the number of start/end notifications processed.
 func (r *RSU) Ops() int64 { return r.ops }
+
+// Harvest reports the unit's reconfiguration operations and grants.
+func (r *RSU) Harvest(st *stats.Reconfig, _ sim.Time) {
+	st.ReconfigOps = r.accels + r.decels
+	st.AccelsGranted = r.accels
+}
 
 // StartTask implements rsu_start_task(cpu, critic): the same algorithm as
 // rsm.RSM.TaskStart, executed instantly in hardware (§III-B.2).

@@ -181,6 +181,9 @@ func TestCostModelMatchesPaperFormula(t *testing.T) {
 	if !strings.Contains(c.String(), "103 bits") {
 		t.Fatalf("String() = %q", c.String())
 	}
+	if tbl := CostTable(); !strings.Contains(tbl, "103") {
+		t.Fatalf("cost table missing the paper's 32-core point:\n%s", tbl)
+	}
 }
 
 func TestCostScaling(t *testing.T) {

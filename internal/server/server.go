@@ -282,7 +282,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, label stri
 	s.cfg.Logger.Info("job admitted",
 		"req_id", reqID, "job_id", j.ID(), "kind", kind, "label", label)
 	go s.watchJob(j, reqID)
-	writeJSON(w, http.StatusAccepted, wireStatus(j.Status()))
+	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
 // watchJob follows a job's event log and logs every state transition
@@ -365,14 +365,12 @@ func (s *Server) batchFn(cfgs []cata.RunConfig) jobs.Fn {
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	js := s.mgr.Jobs()
-	out := make([]cata.JobStatus, len(js))
+	out := make([]jobs.Status, len(js))
 	for i, j := range js {
-		// The listing stays light: drop the result payload before the
-		// wire conversion so it is never decoded. Fetch one job for
-		// its results.
-		st := j.Status()
-		st.Result = nil
-		out[i] = wireStatus(st)
+		// The listing stays light: no result payloads. Fetch one job
+		// for its results.
+		out[i] = j.Status()
+		out[i].Result = nil
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -383,7 +381,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, wireStatus(j.Status()))
+	writeJSON(w, http.StatusOK, j.Status())
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
@@ -394,7 +392,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Logger.Info("job cancel requested",
 		"req_id", requestID(r.Context()), "job_id", j.ID())
-	writeJSON(w, http.StatusAccepted, wireStatus(j.Status()))
+	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
@@ -414,7 +412,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	for e := range j.Events(r.Context()) {
-		data, err := json.Marshal(wireEvent(e))
+		data, err := json.Marshal(e)
 		if err != nil {
 			return
 		}
@@ -441,38 +439,4 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(data)
-}
-
-// wireEvent converts a job event to the public wire form.
-func wireEvent(e jobs.Event) cata.JobEvent {
-	out := cata.JobEvent{
-		Seq: e.Seq, Time: e.Time, Type: e.Type,
-		State: cata.JobState(e.State), Error: e.Error,
-	}
-	if e.Progress != nil {
-		p := *e.Progress
-		out.Progress = &cata.JobProgress{
-			Done: p.Done, Total: p.Total, Cached: p.Cached, Failed: p.Failed,
-			Spec: p.Spec, ElapsedMS: p.ElapsedMS, ETAMS: p.ETAMS, Note: p.Note,
-		}
-	}
-	return out
-}
-
-// wireStatus converts a job snapshot to the public wire form, decoding
-// the result payload when present.
-func wireStatus(st jobs.Status) cata.JobStatus {
-	out := cata.JobStatus{
-		ID: st.ID, Kind: st.Kind, Label: st.Label,
-		State:     cata.JobState(st.State),
-		Submitted: st.Submitted, Started: st.Started, Finished: st.Finished,
-		Error: st.Error, Events: st.Events,
-	}
-	if len(st.Result) > 0 {
-		var res cata.ServiceResult
-		if err := json.Unmarshal(st.Result, &res); err == nil {
-			out.Result = &res
-		}
-	}
-	return out
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"cata"
-	"cata/internal/jobs"
 	"cata/internal/server"
 )
 
@@ -291,30 +290,6 @@ func TestDuplicateRunServedFromCache(t *testing.T) {
 	}
 	if o1.Result == nil || o2.Result == nil || *o1.Result != *o2.Result {
 		t.Fatalf("cached result drifted:\nfirst:  %+v\nsecond: %+v", o1.Result, o2.Result)
-	}
-}
-
-// TestStateParity: the public wire states and the jobs package states
-// are the same strings — the contract that lets the client decode the
-// daemon's payloads.
-func TestStateParity(t *testing.T) {
-	pairs := []struct {
-		wire cata.JobState
-		impl jobs.State
-	}{
-		{cata.JobQueued, jobs.Queued},
-		{cata.JobRunning, jobs.Running},
-		{cata.JobSucceeded, jobs.Succeeded},
-		{cata.JobFailed, jobs.Failed},
-		{cata.JobCanceled, jobs.Canceled},
-	}
-	for _, p := range pairs {
-		if string(p.wire) != string(p.impl) {
-			t.Errorf("state drift: %q vs %q", p.wire, p.impl)
-		}
-	}
-	if !cata.JobSucceeded.Terminal() || cata.JobRunning.Terminal() {
-		t.Fatal("JobState.Terminal drifted")
 	}
 }
 

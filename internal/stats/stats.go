@@ -113,6 +113,25 @@ func (d *DurationSummary) MinTime() sim.Time { return sim.Time(d.Min()) }
 // SumTime returns the sum as a sim.Time.
 func (d *DurationSummary) SumTime() sim.Time { return sim.Time(d.Sum()) }
 
+// Reconfig is what a run's reconfiguration modules report (§V-C): each
+// module fills the fields it owns after the run. The experiment
+// harness embeds it in its per-run measurement, so the field names are
+// part of the result-cache record and must not change.
+type Reconfig struct {
+	ReconfigOps         int64    // RSM or RSU start/end operations
+	ReconfigLatencyAvg  sim.Time // software op latency (CATA only)
+	ReconfigLatencyMax  sim.Time
+	LockWaitMax         sim.Time // worst RSM-lock acquisition (CATA only)
+	DriverLockWaitMax   sim.Time // worst kernel cpufreq-lock wait
+	ReconfigOverheadPct float64  // reconfiguration core-time / total core-time
+	TurboReassigns      int64    // TurboMode halt-driven handoffs
+
+	// Acceleration-decision accounting (CATA's RSM; granted also for RSU).
+	AccelsGranted     int64   // accelerations granted
+	AccelsDenied      int64   // task starts denied acceleration (budget exhausted)
+	BudgetUtilization float64 // time-averaged accelerated cores / budget, in [0,1]
+}
+
 // Hist is a log2-bucketed duration histogram: bucket i holds observations
 // in [2^i, 2^(i+1)) picoseconds. It answers percentile queries
 // approximately (bucket midpoint), which is enough for reporting latency

@@ -17,7 +17,9 @@ import (
 	"fmt"
 
 	"cata/internal/machine"
+	"cata/internal/probe"
 	"cata/internal/sim"
+	"cata/internal/stats"
 	"cata/internal/xrand"
 )
 
@@ -91,6 +93,15 @@ func (c *Controller) Reassigns() int64 { return c.reassigns }
 
 // WakeBoosts returns how many wakes were granted leftover budget.
 func (c *Controller) WakeBoosts() int64 { return c.wakeBoosts }
+
+// SetRecorder is a no-op: the controller's handoffs reach a flight
+// recording as the machine's own DVFS events.
+func (c *Controller) SetRecorder(probe.Recorder) {}
+
+// Harvest reports the halt-driven budget handoffs.
+func (c *Controller) Harvest(st *stats.Reconfig, _ sim.Time) {
+	st.TurboReassigns = c.reassigns
+}
 
 // onHalt: an accelerated core halting yields its budget to a random
 // active core ("lowers the frequency of the core, selects a random active
