@@ -8,6 +8,7 @@ import (
 	"cata/internal/opensys"
 	"cata/internal/policies"
 	"cata/internal/sim"
+	"cata/internal/spec"
 	"cata/internal/workloads"
 )
 
@@ -313,16 +314,24 @@ func ValidateArrivals(spec string) error {
 	return err
 }
 
-// Validate checks every spec the config carries — the workload (unless
-// Program is set), the policy and the arrival process — against its
-// registry: the name and every parameter's key, kind and bounds, without
-// building or running anything. catad runs it on each config at
-// admission. The error names the offending spec and parameter when one
-// is at fault.
+// Validate is the admission check catad runs on each config, without
+// building or running anything. It checks every spec the config carries
+// — the workload (unless Program is set), the policy and the arrival
+// process — against its registry, then the sizes Run also checks:
+// FastCores in [0, Cores] and Cores not negative once defaults apply,
+// and Scale in (0, 1] (zero means the default). It refuses file-backed
+// workloads (trace:file=…, dot:file=…), so a service never opens a file
+// a client names; Run, RunBatch and RunMatrix accept them. The error
+// names the offending spec and parameter, or the offending field.
 func (cfg RunConfig) Validate() error {
 	if cfg.Program == nil {
-		if err := workloads.Validate(cfg.Workload); err != nil {
+		e, err := workloads.Validate(cfg.Workload)
+		if err != nil {
 			return err
+		}
+		if e.FileBacked {
+			return &spec.Error{Component: "workload", Spec: cfg.Workload, Name: e.Name,
+				Reason: "file-backed workloads are not accepted over the network; run them locally"}
 		}
 	}
 	if cfg.Policy != "" {
@@ -331,9 +340,11 @@ func (cfg RunConfig) Validate() error {
 		}
 	}
 	if cfg.Arrivals != "" {
-		return ValidateArrivals(cfg.Arrivals)
+		if err := ValidateArrivals(cfg.Arrivals); err != nil {
+			return err
+		}
 	}
-	return nil
+	return exp.RunSpec{FastCores: cfg.FastCores, Cores: cfg.Cores, Scale: cfg.Scale}.CheckSizes()
 }
 
 func toDuration(t sim.Time) time.Duration {

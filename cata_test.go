@@ -2,6 +2,8 @@ package cata
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -330,8 +332,9 @@ func TestPolicySpecsPublic(t *testing.T) {
 }
 
 // TestRunConfigValidate: Validate checks every spec a config carries —
-// workload, policy and arrival process — without running anything, and
-// a custom Program stands in for the workload spec.
+// workload, policy and arrival process — and the machine sizes without
+// running anything, refuses file-backed workloads, and lets a custom
+// Program stand in for the workload spec.
 func TestRunConfigValidate(t *testing.T) {
 	good := RunConfig{Workload: "layered:width=4", Policy: "cats+bl:theta=0.5", Arrivals: "poisson:lambda=2000,jobs=4"}
 	if err := good.Validate(); err != nil {
@@ -346,9 +349,50 @@ func TestRunConfigValidate(t *testing.T) {
 		{Workload: "dedup", Policy: "AMTHA:tiebreak=bogus"},
 		{Workload: "dedup", Arrivals: "poisson:lambda=NaN"},
 		{Workload: "dedup", Arrivals: "fixed:interval=1ms,lambda=5"},
+		{Workload: "trace:file=capture.json"},
+		{Workload: "dedup", FastCores: 64},
+		{Workload: "dedup", Cores: 8, FastCores: 9},
+		{Workload: "dedup", Cores: -1},
+		{Workload: "dedup", Scale: math.NaN()},
+		{Workload: "dedup", Scale: math.Inf(1)},
+		{Workload: "dedup", Scale: -0.5},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted a bad config", bad)
+		}
+	}
+}
+
+// TestSizeChecksGuardRuns: the size check Validate applies at admission
+// also guards the library's run paths. Run returns an error and RunBatch
+// reports it as that run's own error, where a bad budget used to panic
+// in the machine or a reconfiguration module.
+func TestSizeChecksGuardRuns(t *testing.T) {
+	bad := []RunConfig{
+		{Workload: "dedup", FastCores: 64},
+		{Workload: "dedup", Policy: PolicyCATA, FastCores: -3},
+		{Workload: "dedup", Policy: PolicyCATARSU, FastCores: 64},
+		{Workload: "dedup", Policy: PolicyTurboMode, FastCores: 33},
+		{Workload: "dedup", Policy: PolicyCATA3L, FastCores: 64},
+		{Workload: "dedup", Cores: -1},
+		{Workload: "dedup", Scale: math.NaN()},
+	}
+	for _, cfg := range bad {
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run(%+v) accepted a bad size", cfg)
+		}
+	}
+	good := RunConfig{Workload: "dedup", Scale: 0.05}
+	rs, err := RunBatch(context.Background(), append([]RunConfig{good}, bad...), BatchOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs[0].Err != nil {
+		t.Fatalf("good run failed beside bad ones: %v", rs[0].Err)
+	}
+	for _, r := range rs[1:] {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "out of range") && !strings.Contains(r.Err.Error(), "negative") {
+			t.Errorf("RunBatch(%+v) error = %v, want the size check's", r.Config, r.Err)
 		}
 	}
 }

@@ -83,6 +83,24 @@ func (s RunSpec) withDefaults() RunSpec {
 	return s
 }
 
+// CheckSizes rejects machine sizes no run can have, after defaults are
+// applied: a negative core count, a fast-core budget outside
+// [0, cores], and a scale outside (0, 1] (NaN included). Run applies it
+// before building anything; catad applies it at admission through
+// cata.RunConfig.Validate. The errors name the wire fields.
+func (s RunSpec) CheckSizes() error {
+	s = s.withDefaults()
+	switch {
+	case s.Cores < 0:
+		return fmt.Errorf("cores %d is negative", s.Cores)
+	case s.FastCores < 0 || s.FastCores > s.Cores:
+		return fmt.Errorf("fast_cores %d out of range [0,%d]", s.FastCores, s.Cores)
+	case !(s.Scale > 0 && s.Scale <= 1):
+		return fmt.Errorf("scale %v out of range (0,1]", s.Scale)
+	}
+	return nil
+}
+
 // String renders the spec as workload/policy/fast for logs and errors,
 // with the arrival process appended for open-system runs.
 func (s RunSpec) String() string {
@@ -191,6 +209,9 @@ type programHolder struct {
 // Run executes one simulation and harvests its measurement.
 func Run(spec RunSpec) (Measurement, error) {
 	spec = spec.withDefaults()
+	if err := spec.CheckSizes(); err != nil {
+		return Measurement{}, fmt.Errorf("%v: %w", spec, err)
+	}
 	if spec.Arrivals != "" {
 		return runOpen(spec)
 	}
@@ -291,9 +312,6 @@ func runWith(spec RunSpec, holder programHolder) (Measurement, error) {
 func budgetWatts(spec RunSpec, r *rig) float64 {
 	cfg := &r.mach.Cfg
 	fast := spec.FastCores
-	if fast > spec.Cores {
-		fast = spec.Cores
-	}
 	slow := spec.Cores - fast
 	return float64(fast)*cfg.Power.CoreWatts(cfg.FastLevel, energy.C0Active) +
 		float64(slow)*cfg.Power.CoreWatts(cfg.SlowLevel, energy.C0Active) +

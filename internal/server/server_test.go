@@ -293,14 +293,14 @@ func TestDuplicateRunServedFromCache(t *testing.T) {
 	}
 }
 
-// TestFailedRunReported: a run that passes admission but fails at build
-// time lands the job in failed with the cause preserved (admission
-// checks the spec, not the file a file-backed workload names).
+// TestFailedRunReported: a run that passes admission but fails in the
+// worker is reported as that run's error, with the cause preserved, and
+// does not fail the job. A Poisson rate this small passes the arrival
+// spec's bounds, but its first arrival lies past any simulated time.
 func TestFailedRunReported(t *testing.T) {
 	_, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
-	missing := filepath.Join(t.TempDir(), "missing.json")
-	st, err := c.SubmitRun(ctx, cata.RunConfig{Workload: "trace:file=" + missing})
+	st, err := c.SubmitRun(ctx, cata.RunConfig{Workload: "forkjoin", Arrivals: "poisson:lambda=1e-300,jobs=2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +310,69 @@ func TestFailedRunReported(t *testing.T) {
 	}
 	if final.Result == nil || final.Result.Failed != 1 || final.Result.Results[0].Error == "" {
 		t.Fatalf("result = %+v, want one failed outcome", final.Result)
+	}
+}
+
+// TestHostileSizesRejected: fast_cores outside [0, cores], a negative
+// core count and a scale outside (0, 1] are refused at admission with a
+// 400 naming the field, for runs and for sweeps, and nothing is queued.
+// Each of these used to pass admission and panic a worker goroutine,
+// taking the daemon and every in-flight job down.
+func TestHostileSizesRejected(t *testing.T) {
+	base, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/runs", `{"workload":"dedup","fast_cores":64}`, "fast_cores"},
+		{"/v1/runs", `{"workload":"dedup","fast_cores":-3}`, "fast_cores"},
+		{"/v1/runs", `{"workload":"dedup","policy":"CATA","fast_cores":64}`, "fast_cores"},
+		{"/v1/runs", `{"workload":"dedup","policy":"CATA+RSU","fast_cores":-3}`, "fast_cores"},
+		{"/v1/runs", `{"workload":"dedup","policy":"TurboMode","fast_cores":64}`, "fast_cores"},
+		{"/v1/runs", `{"workload":"dedup","policy":"CATA+RSU-3L","fast_cores":64}`, "fast_cores"},
+		{"/v1/runs", `{"workload":"dedup","cores":8,"fast_cores":16}`, "fast_cores"},
+		{"/v1/runs", `{"workload":"dedup","cores":-1}`, "cores"},
+		{"/v1/runs", `{"workload":"dedup","scale":1.5}`, "scale"},
+		{"/v1/runs", `{"workload":"dedup","scale":-0.5}`, "scale"},
+		{"/v1/sweeps", `{"workloads":["dedup"],"fast_cores":[8,64]}`, "fast_cores"},
+		{"/v1/sweeps", `{"workloads":["dedup"],"cores":8}`, "fast_cores"},
+		{"/v1/sweeps", `{"workloads":["dedup"],"scale":2}`, "scale"},
+	} {
+		got := post400(t, base, tc.path, tc.body)
+		if !strings.Contains(got["error"], ": "+tc.field+" ") {
+			t.Errorf("POST %s %s: body = %v, want an error naming %s", tc.path, tc.body, got, tc.field)
+		}
+	}
+	assertNothingQueued(t, c)
+}
+
+// TestFileBackedWorkloadsRejected: catad never opens a file a client
+// names. trace:file= and dot:file= workloads are refused at admission,
+// for runs and for sweeps, with a 400 naming the workload — whether
+// the file exists or not, so the answer says nothing about the host.
+func TestFileBackedWorkloadsRejected(t *testing.T) {
+	base, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
+	for _, tc := range []struct{ path, body, workload string }{
+		{"/v1/runs", `{"workload":"trace:file=/etc/passwd"}`, "trace"},
+		{"/v1/runs", `{"workload":"dot:file=/etc/passwd"}`, "dot"},
+		{"/v1/runs", `{"workload":"trace:file=/no/such/file.json"}`, "trace"},
+		{"/v1/sweeps", `{"workloads":["dedup","dot:file=/etc/hostname"]}`, "dot"},
+	} {
+		got := post400(t, base, tc.path, tc.body)
+		if got["workload"] != tc.workload || !strings.Contains(got["error"], "file-backed") {
+			t.Errorf("POST %s %s: body = %v, want a file-backed refusal naming %s", tc.path, tc.body, got, tc.workload)
+		}
+	}
+	assertNothingQueued(t, c)
+}
+
+// assertNothingQueued requires that rejected submissions left no job
+// behind and the daemon healthy.
+func assertNothingQueued(t *testing.T, c *cata.ServiceClient) {
+	t.Helper()
+	ctx := context.Background()
+	if js, err := c.Jobs(ctx); err != nil || len(js) != 0 {
+		t.Fatalf("rejected submissions left %d jobs behind (%v)", len(js), err)
+	}
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("health after rejections = %+v, %v", h, err)
 	}
 }
 

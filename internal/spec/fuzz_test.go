@@ -41,8 +41,8 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("canonical form of %q is not a fixed point: %q -> %q", s, canon, got)
 		}
 
-		if workloads.Validate(s) == nil {
-			if err := workloads.Validate(canon); err != nil {
+		if _, err := workloads.Validate(s); err == nil {
+			if _, err := workloads.Validate(canon); err != nil {
 				t.Fatalf("workload spec %q accepted, its canonical form %q rejected: %v", s, canon, err)
 			}
 		}

@@ -118,11 +118,11 @@ func resolve(s string) (spec.Spec, Entry, error) {
 }
 
 // Validate checks a workload spec against the registry without building
-// anything. The error is a *spec.Error naming the offending parameter
-// when one is at fault.
-func Validate(s string) error {
-	_, _, err := resolve(s)
-	return err
+// anything and returns the entry it names. The error is a *spec.Error
+// naming the offending parameter when one is at fault.
+func Validate(s string) (Entry, error) {
+	_, e, err := resolve(s)
+	return e, err
 }
 
 // Build resolves a workload spec string against the registry and

@@ -53,7 +53,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"layered:width=1,width=2", "width"}, // duplicate key
 	} {
 		var se *spec.Error
-		if err := Validate(tc.spec); !errors.As(err, &se) || se.Component != "workload" || se.Key != tc.key {
+		if _, err := Validate(tc.spec); !errors.As(err, &se) || se.Component != "workload" || se.Key != tc.key {
 			t.Errorf("Validate(%q) = %v, want a workload spec error on key %q", tc.spec, err, tc.key)
 		}
 	}
@@ -84,12 +84,12 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 			t.Errorf("Build(%q) = %v, want a spec error on key %q", tc.spec, err, tc.key)
 			continue
 		}
-		if verr := Validate(tc.spec); verr == nil || verr.Error() != err.Error() {
+		if _, verr := Validate(tc.spec); verr == nil || verr.Error() != err.Error() {
 			t.Errorf("Validate(%q) = %v, want Build's error %v", tc.spec, verr, err)
 		}
 	}
 	// The reserved seed keeps its full uint64 range.
-	if err := Validate("chain:seed=18446744073709551615"); err != nil {
+	if _, err := Validate("chain:seed=18446744073709551615"); err != nil {
 		t.Errorf("max seed rejected: %v", err)
 	}
 }
