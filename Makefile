@@ -79,13 +79,15 @@ opensys-smoke:
 		-arrivals 'poisson:lambda=2000,jobs=20,deadline=5ms,cap=4,window=10ms'
 
 # Runs each fuzz target for a bounded budget: the internal/sim engine
-# harness (arena/heap invariants vs a reference engine) and the
+# harness (arena/heap invariants vs a reference engine), the
 # internal/spec parser (no panics, canonical-form round trips, registry
-# acceptance unchanged by canonicalization). go test -fuzz takes one
-# package at a time.
+# acceptance unchanged by canonicalization) and catad's JSON admission
+# in internal/server (no panics, admitted configs are encoding fixed
+# points). go test -fuzz takes one package at a time.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/spec
+	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/server
 
 # Captures a statement-coverage profile across every package.
 cover:
