@@ -311,10 +311,8 @@ func runWith(spec RunSpec, holder programHolder) (Measurement, error) {
 // at the fast level in C0-active, the rest slow, plus the uncore term.
 func budgetWatts(spec RunSpec, r *rig) float64 {
 	cfg := &r.mach.Cfg
-	fast := spec.FastCores
-	slow := spec.Cores - fast
-	return float64(fast)*cfg.Power.CoreWatts(cfg.FastLevel, energy.C0Active) +
-		float64(slow)*cfg.Power.CoreWatts(cfg.SlowLevel, energy.C0Active) +
+	return float64(spec.FastCores)*cfg.Power.CoreWatts(cfg.FastLevel, energy.C0Active) +
+		float64(spec.Cores-spec.FastCores)*cfg.Power.CoreWatts(cfg.SlowLevel, energy.C0Active) +
 		cfg.Power.UncoreWattsPerCore*float64(spec.Cores)
 }
 

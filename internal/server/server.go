@@ -7,8 +7,9 @@
 // submitted with "trace": true), registry introspection (/v1/policies,
 // /v1/workloads), /healthz, and the Prometheus scrape endpoint
 // /metrics (queue depth, jobs by state, cache hit rate, engine
-// events/sec, acceleration decisions). Admission validates every
-// config's workload, policy and arrival specs (cata.RunConfig.Validate)
+// events/sec, acceleration decisions). Admission runs
+// cata.RunConfig.Validate on every config — its workload, policy and
+// arrival specs, its sizes, and the refusal of file-backed workloads —
 // and answers a bad one with a structured 400. Jobs execute on a bounded
 // internal/jobs.Manager; each job runs through the public batch engine
 // (cata.RunBatch) against a shared content-addressed result cache, so
