@@ -28,34 +28,34 @@ type Policy = exp.Policy
 const (
 	// PolicyFIFO: baseline FIFO scheduler on a statically heterogeneous
 	// machine; criticality-blind (§II-C).
-	PolicyFIFO Policy = "FIFO"
+	PolicyFIFO = exp.FIFO
 	// PolicyCATSBL: criticality-aware task scheduling with dynamic
 	// bottom-level criticality estimation (§II-B, [24]). Accepts a
 	// `theta` parameter: the criticality threshold in (0,1].
-	PolicyCATSBL Policy = "CATS+BL"
+	PolicyCATSBL = exp.CATSBL
 	// PolicyCATSSA: criticality-aware task scheduling with static
 	// criticality annotations (the paper's criticality(c) clause).
-	PolicyCATSSA Policy = "CATS+SA"
+	PolicyCATSSA = exp.CATSSA
 	// PolicyCATA: criticality-aware task acceleration in software —
 	// runtime-driven DVFS through the cpufreq stack (§III-A).
-	PolicyCATA Policy = "CATA"
+	PolicyCATA = exp.CATA
 	// PolicyCATARSU: CATA with the hardware Runtime Support Unit (§III-B).
-	PolicyCATARSU Policy = "CATA+RSU"
+	PolicyCATARSU = exp.CATARSU
 	// PolicyTurboMode: the criticality-blind TurboMode comparator (§V-D).
-	PolicyTurboMode Policy = "TurboMode"
+	PolicyTurboMode = exp.TURBO
 	// PolicyCATARSUHA: extension beyond the paper — CATA+RSU that
 	// releases the budget of IO-halted cores and restores it on wake,
 	// adopting the one TurboMode behavior §V-D concedes is superior.
-	PolicyCATARSUHA Policy = "CATA+RSU-HA"
+	PolicyCATARSUHA = exp.CATARSUHA
 	// PolicyCATA3L: extension beyond the paper — three acceleration
 	// levels (1/1.5/2 GHz) under a power-unit budget, the multi-level
 	// generalization §III leaves as future work.
-	PolicyCATA3L Policy = "CATA+RSU-3L"
+	PolicyCATA3L = exp.CATA3L
 	// PolicyAMTHA: registered extension — De Giusti et al.'s static
 	// task-to-core mapping by accumulated-time list scheduling, the
 	// static contrast point to CATA's dynamic acceleration. Accepts a
 	// `tiebreak` parameter: index, spread or accum.
-	PolicyAMTHA Policy = "AMTHA"
+	PolicyAMTHA = exp.AMTHA
 )
 
 // AllPolicies returns every paper-evaluated policy in evaluation order
@@ -133,14 +133,10 @@ func PolicyDocs() []PolicyInfo {
 func PolicyLabels() []string { return policies.Names() }
 
 // Fig4Policies returns the software-only configurations of Figure 4.
-func Fig4Policies() []Policy {
-	return []Policy{PolicyFIFO, PolicyCATSBL, PolicyCATSSA, PolicyCATA}
-}
+func Fig4Policies() []Policy { return exp.Fig4Policies() }
 
 // Fig5Policies returns the configurations of Figure 5.
-func Fig5Policies() []Policy {
-	return []Policy{PolicyCATA, PolicyCATARSU, PolicyTurboMode}
-}
+func Fig5Policies() []Policy { return exp.Fig5Policies() }
 
 // ParsePolicy resolves a policy spec — a registered name, matched
 // case-insensitively, with optional typed parameters ("FIFO",
