@@ -91,8 +91,9 @@ func New(eng *sim.Engine, mach *machine.Machine, costs Costs) *Framework {
 func (f *Framework) SetRecorder(rec probe.Recorder) { f.rec = rec }
 
 // Harvest reports the worst wait on the kernel driver lock.
-func (f *Framework) Harvest(st *stats.Reconfig, _ sim.Time) {
+func (f *Framework) Harvest(st stats.Reconfig, _ sim.Time) stats.Reconfig {
 	st.DriverLockWaitMax = f.lock.WaitTimes().MaxTime()
+	return st
 }
 
 // armHousekeeping starts the periodic kernel housekeeping on the first

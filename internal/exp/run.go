@@ -289,7 +289,7 @@ func runWith(spec RunSpec, holder programHolder) (Measurement, error) {
 		m.Steals = st.Steals
 	}
 	for _, mod := range rig.modules {
-		mod.Harvest(&m.Reconfig, res.Makespan)
+		m.Reconfig = mod.Harvest(m.Reconfig, res.Makespan)
 	}
 	if res.Makespan > 0 {
 		var busy sim.Time

@@ -40,9 +40,10 @@ import (
 type Module interface {
 	// SetRecorder attaches the run's flight recorder.
 	SetRecorder(probe.Recorder)
-	// Harvest writes the module's statistics for a run that lasted
-	// makespan into st.
-	Harvest(st *stats.Reconfig, makespan sim.Time)
+	// Harvest returns st with the module's statistics for a run that
+	// lasted makespan written in. st travels by value so the caller's
+	// measurement is not moved to the heap by the interface call.
+	Harvest(st stats.Reconfig, makespan sim.Time) stats.Reconfig
 }
 
 // Env is the per-run wiring surface handed to a policy's Build hook: the

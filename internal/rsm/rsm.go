@@ -149,7 +149,7 @@ func (r *RSM) OpTimeTotal() sim.Time { return r.opTimeTotal }
 // latencies, the worst runtime-lock wait, reconfiguration core time as a
 // percentage of all core time, and the budget's grants, denials and
 // utilization.
-func (r *RSM) Harvest(st *stats.Reconfig, makespan sim.Time) {
+func (r *RSM) Harvest(st stats.Reconfig, makespan sim.Time) stats.Reconfig {
 	st.ReconfigOps = r.accels + r.decels
 	st.ReconfigLatencyAvg = r.opLatency.MeanTime()
 	st.ReconfigLatencyMax = r.opLatency.MaxTime()
@@ -160,6 +160,7 @@ func (r *RSM) Harvest(st *stats.Reconfig, makespan sim.Time) {
 	if r.budget > 0 && makespan > 0 {
 		st.BudgetUtilization = float64(r.AccelCoreTime()) / (float64(makespan) * float64(r.budget))
 	}
+	return st
 }
 
 // TaskStart runs the §III-A algorithm when a task begins on core:

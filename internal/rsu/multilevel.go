@@ -96,8 +96,9 @@ func (m *MultiLevel) Ops() int64 { return m.ops }
 func (m *MultiLevel) SetRecorder(probe.Recorder) {}
 
 // Harvest reports the unit's level moves as reconfiguration operations.
-func (m *MultiLevel) Harvest(st *stats.Reconfig, _ sim.Time) {
+func (m *MultiLevel) Harvest(st stats.Reconfig, _ sim.Time) stats.Reconfig {
 	st.ReconfigOps = m.upgrades + m.downgrades
+	return st
 }
 
 func (m *MultiLevel) free() int { return m.unitBudget - m.unitsUsed }

@@ -114,9 +114,10 @@ func (r *RSU) Reconfigs() (accels, decels int64) { return r.accels, r.decels }
 func (r *RSU) Ops() int64 { return r.ops }
 
 // Harvest reports the unit's reconfiguration operations and grants.
-func (r *RSU) Harvest(st *stats.Reconfig, _ sim.Time) {
+func (r *RSU) Harvest(st stats.Reconfig, _ sim.Time) stats.Reconfig {
 	st.ReconfigOps = r.accels + r.decels
 	st.AccelsGranted = r.accels
+	return st
 }
 
 // StartTask implements rsu_start_task(cpu, critic): the same algorithm as

@@ -99,8 +99,9 @@ func (c *Controller) WakeBoosts() int64 { return c.wakeBoosts }
 func (c *Controller) SetRecorder(probe.Recorder) {}
 
 // Harvest reports the halt-driven budget handoffs.
-func (c *Controller) Harvest(st *stats.Reconfig, _ sim.Time) {
+func (c *Controller) Harvest(st stats.Reconfig, _ sim.Time) stats.Reconfig {
 	st.TurboReassigns = c.reassigns
+	return st
 }
 
 // onHalt: an accelerated core halting yields its budget to a random
