@@ -651,13 +651,7 @@ func TestWorkloadAndArrivalSpecValidation(t *testing.T) {
 		}
 	}
 
-	js, err := c.Jobs(ctx)
-	if err != nil || len(js) != 0 {
-		t.Fatalf("rejected specs left %d jobs behind (%v)", len(js), err)
-	}
-	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
-		t.Fatalf("health after rejections = %+v, %v", h, err)
-	}
+	assertNothingQueued(t, c)
 
 	// A registered policy sweeps against CATA and the baseline through
 	// /v1/sweeps, parameters included.
