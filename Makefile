@@ -116,6 +116,6 @@ docs-check:
 # The local CI mirror: everything the workflow gates, minus the pinned
 # tool installs (lint degrades gracefully when staticcheck/govulncheck
 # are absent). A short fuzz budget keeps it quick.
-ci: fmt-check build lint test smoke cover-check docs-check
+ci: fmt-check build lint test smoke opensys-smoke cover-check docs-check
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-check

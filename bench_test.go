@@ -73,25 +73,27 @@ func figureMatrix(policies []cata.Policy) error {
 const allocSlack = 0.15
 
 // TestBenchAllocs pins the heap allocations of one operation of the
-// figure and workload benchmarks to the counts of the July bench capture
-// (BENCH_1.json), with allocSlack headroom upward. Allocation counts do
-// not depend on the host, so unlike the benchmarks' timings they can
-// gate every test run. A change that allocates more fails here; one
-// that allocates much less should lower its pin.
+// figure and workload benchmarks, and of a 50-job run of perfbench's
+// open-soak template, to their measured counts, with allocSlack headroom
+// upward. Allocation counts do not depend on the host, so unlike the
+// benchmarks' timings they can gate every test run. A change that
+// allocates more fails here; one that allocates much less should lower
+// its pin.
 func TestBenchAllocs(t *testing.T) {
 	pins := []struct {
 		name string
 		pin  float64
 		op   func() error
 	}{
-		{"figure4", 368549, func() error { return figureMatrix(cata.Fig4Policies()) }},
-		{"figure5", 408037, func() error { return figureMatrix(cata.Fig5Policies()) }},
-		{"blackscholes", 5597, func() error { return workloadRun("blackscholes") }},
-		{"swaptions", 3022, func() error { return workloadRun("swaptions") }},
-		{"fluidanimate", 27511, func() error { return workloadRun("fluidanimate") }},
-		{"bodytrack", 5104, func() error { return workloadRun("bodytrack") }},
-		{"dedup", 5461, func() error { return workloadRun("dedup") }},
-		{"ferret", 7244, func() error { return workloadRun("ferret") }},
+		{"figure4", 284685, func() error { return figureMatrix(cata.Fig4Policies()) }},
+		{"figure5", 285386, func() error { return figureMatrix(cata.Fig5Policies()) }},
+		{"blackscholes", 1336, func() error { return workloadRun("blackscholes") }},
+		{"swaptions", 1001, func() error { return workloadRun("swaptions") }},
+		{"fluidanimate", 14243, func() error { return workloadRun("fluidanimate") }},
+		{"bodytrack", 2280, func() error { return workloadRun("bodytrack") }},
+		{"dedup", 2361, func() error { return workloadRun("dedup") }},
+		{"ferret", 2787, func() error { return workloadRun("ferret") }},
+		{"open-soak", 10892, openSoakRun},
 	}
 	for _, p := range pins {
 		var err error
@@ -99,6 +101,7 @@ func TestBenchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
+		t.Logf("%s: %.0f allocations per op, pinned %.0f", p.name, got, p.pin)
 		if got > p.pin*(1+allocSlack) {
 			t.Errorf("%s allocates %.0f objects per op, pinned %.0f (+%.0f%% allowed)", p.name, got, p.pin, 100*allocSlack)
 		}
@@ -175,6 +178,23 @@ func workloadRun(workload string) error {
 	}
 	if res.TasksRun == 0 {
 		return errors.New("no tasks")
+	}
+	return nil
+}
+
+// openSoakRun is one run of perfbench's open-soak template at 50 jobs:
+// Poisson arrivals of fork-join jobs into one CATA machine.
+func openSoakRun() error {
+	res, err := cata.Run(cata.RunConfig{
+		Workload: "forkjoin:width=16,phases=2,dur=200", Policy: cata.PolicyCATA,
+		FastCores: 16, Seed: benchSeed,
+		Arrivals: "poisson:lambda=3000,jobs=50,deadline=2ms,cap=64,window=5ms",
+	})
+	if err != nil {
+		return err
+	}
+	if res.Open == nil || res.Open.JobsCompleted == 0 {
+		return errors.New("no open-system jobs completed")
 	}
 	return nil
 }

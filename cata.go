@@ -314,8 +314,9 @@ func ValidateArrivals(spec string) error {
 // building or running anything. It checks every spec the config carries
 // — the workload (unless Program is set), the policy and the arrival
 // process — against its registry, then the sizes Run also checks:
-// FastCores in [0, Cores] and Cores not negative once defaults apply,
-// and Scale in (0, 1] (zero means the default). It refuses file-backed
+// FastCores in [0, Cores] and Cores in [0, exp.MaxCores] (1,024) once
+// defaults apply, Scale in (0, 1] (zero means the default) and
+// TransitionLatency not negative. It refuses file-backed
 // workloads (trace:file=…, dot:file=…), so a service never opens a file
 // a client names; Run, RunBatch and RunMatrix accept them. The error
 // names the offending spec and parameter, or the offending field.
@@ -340,7 +341,12 @@ func (cfg RunConfig) Validate() error {
 			return err
 		}
 	}
-	return exp.RunSpec{FastCores: cfg.FastCores, Cores: cfg.Cores, Scale: cfg.Scale}.CheckSizes()
+	spec := exp.RunSpec{FastCores: cfg.FastCores, Cores: cfg.Cores, Scale: cfg.Scale, TransitionLatency: toSimTime(cfg.TransitionLatency)}
+	return spec.CheckSizes()
+}
+
+func toSimTime(d time.Duration) sim.Time {
+	return sim.Time(d.Nanoseconds()) * sim.Nanosecond
 }
 
 func toDuration(t sim.Time) time.Duration {
@@ -414,7 +420,7 @@ func (cfg RunConfig) spec() (exp.RunSpec, error) {
 		Cores:             cfg.Cores,
 		Seed:              cfg.Seed,
 		Scale:             cfg.Scale,
-		TransitionLatency: sim.Time(cfg.TransitionLatency.Nanoseconds()) * sim.Nanosecond,
+		TransitionLatency: toSimTime(cfg.TransitionLatency),
 		Trace:             cfg.TraceTo,
 		Timeline:          cfg.TimelineTo,
 		TimelineWidth:     cfg.TimelineWidth,

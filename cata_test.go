@@ -353,9 +353,11 @@ func TestRunConfigValidate(t *testing.T) {
 		{Workload: "dedup", FastCores: 64},
 		{Workload: "dedup", Cores: 8, FastCores: 9},
 		{Workload: "dedup", Cores: -1},
+		{Workload: "dedup", Cores: 1 << 30},
 		{Workload: "dedup", Scale: math.NaN()},
 		{Workload: "dedup", Scale: math.Inf(1)},
 		{Workload: "dedup", Scale: -0.5},
+		{Workload: "dedup", TransitionLatency: -5},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted a bad config", bad)
@@ -375,7 +377,9 @@ func TestSizeChecksGuardRuns(t *testing.T) {
 		{Workload: "dedup", Policy: PolicyTurboMode, FastCores: 33},
 		{Workload: "dedup", Policy: PolicyCATA3L, FastCores: 64},
 		{Workload: "dedup", Cores: -1},
+		{Workload: "dedup", Cores: 1 << 30},
 		{Workload: "dedup", Scale: math.NaN()},
+		{Workload: "dedup", TransitionLatency: -5},
 	}
 	for _, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -88,7 +88,7 @@ func (p *Program) Task(spec TaskSpec) *Program {
 			spec.Type.Name(), spec.MemFraction)
 		return p
 	}
-	slowDur := sim.Time(spec.Duration.Nanoseconds()) * sim.Nanosecond
+	slowDur := toSimTime(spec.Duration)
 	mem := sim.Time(float64(slowDur) * spec.MemFraction)
 	cycles := int64((slowDur - mem) / sim.Gigahertz.Period())
 	if cycles == 0 && mem == 0 {
@@ -106,7 +106,7 @@ func (p *Program) Task(spec TaskSpec) *Program {
 		Type:      spec.Type.inner,
 		CPUCycles: cycles,
 		MemTime:   mem,
-		IOTime:    sim.Time(spec.IOTime.Nanoseconds()) * sim.Nanosecond,
+		IOTime:    toSimTime(spec.IOTime),
 		Ins:       ins,
 		Outs:      outs,
 	})

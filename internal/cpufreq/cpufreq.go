@@ -70,21 +70,63 @@ type Framework struct {
 
 	hkArmed      bool
 	hkLastWrites int64
+	// The housekeeping path's three steps, bound once at construction.
+	hkCb, hkHeldCb, hkDoneCb func()
+
+	// ops holds one write record per calling core.
+	ops []writeOp
 
 	// rec, when non-nil, receives one WriteEvent per completed policy
 	// write, carrying the lock-wait share of the total latency.
 	rec probe.Recorder
 }
 
+// writePhase is the step a policy write takes when its record's
+// callback next fires.
+type writePhase int
+
+const (
+	writeEntered  writePhase = iota // user→kernel path paid: take the driver lock
+	writeLocked                     // lock granted: run the driver
+	writeDriven                     // driver done: kick DVFS, drop the lock, return
+	writeReturned                   // back in user space: account and resume the caller
+)
+
+// writeOp is one calling core's policy write in flight. The caller
+// blocks in the syscall, so a core issues at most one write at a time
+// and one record per core suffices: its step callback is bound at
+// construction, and a write hands the engine and the driver lock no
+// closure.
+type writeOp struct {
+	f      *Framework
+	caller int
+	target int
+	level  energy.Level
+	phase  writePhase
+
+	start     sim.Time // entry into the write
+	lockStart sim.Time // driver lock requested
+	lockWait  sim.Time // driver lock requested → granted
+	done      func()   // the caller's continuation; nil when idle
+	stepCb    func()   // step, bound at construction
+}
+
 // New returns a framework bound to the machine.
 func New(eng *sim.Engine, mach *machine.Machine, costs Costs) *Framework {
-	return &Framework{
+	f := &Framework{
 		eng:       eng,
 		mach:      mach,
 		costs:     costs,
 		lock:      NewLock(eng),
 		perCaller: make([]stats.DurationSummary, mach.Cores()),
+		ops:       make([]writeOp, mach.Cores()),
 	}
+	f.hkCb, f.hkHeldCb, f.hkDoneCb = f.housekeep, f.housekeepHeld, f.housekeepDone
+	for i := range f.ops {
+		op := &f.ops[i]
+		op.f, op.caller, op.stepCb = f, i, op.step
+	}
+	return f
 }
 
 // SetRecorder attaches a flight recorder reporting completed writes.
@@ -104,23 +146,26 @@ func (f *Framework) armHousekeeping() {
 		return
 	}
 	f.hkArmed = true
-	f.eng.After(f.costs.HousekeepPeriod/3, f.housekeep)
+	f.eng.After(f.costs.HousekeepPeriod/3, f.hkCb)
 }
 
 // housekeep models the periodic kernel path that holds the policy lock
 // (it runs on a kernel thread, not on a simulated core).
-func (f *Framework) housekeep() {
-	f.lock.Acquire(func() {
-		f.eng.After(f.costs.HousekeepHold, func() {
-			f.lock.Release()
-			if f.writes == f.hkLastWrites {
-				f.hkArmed = false // quiesce until the next write
-				return
-			}
-			f.hkLastWrites = f.writes
-			f.eng.After(f.costs.HousekeepPeriod-f.costs.HousekeepHold, f.housekeep)
-		})
-	})
+func (f *Framework) housekeep() { f.lock.Acquire(f.hkHeldCb) }
+
+// housekeepHeld holds the granted lock for the housekeeping window.
+func (f *Framework) housekeepHeld() { f.eng.After(f.costs.HousekeepHold, f.hkDoneCb) }
+
+// housekeepDone releases the lock and re-arms the next window while
+// writes keep coming.
+func (f *Framework) housekeepDone() {
+	f.lock.Release()
+	if f.writes == f.hkLastWrites {
+		f.hkArmed = false // quiesce until the next write
+		return
+	}
+	f.hkLastWrites = f.writes
+	f.eng.After(f.costs.HousekeepPeriod-f.costs.HousekeepHold, f.hkCb)
 }
 
 // Write performs one policy-file write: set core `target` to `level`,
@@ -129,43 +174,57 @@ func (f *Framework) housekeep() {
 // the driver completes asynchronously (TransitionLatency later).
 //
 // The caller's core must be in its Busy state (the runtime performs
-// writes from the worker's dispatch/completion path).
+// writes from the worker's dispatch/completion path), and it must not
+// have another write in flight.
 func (f *Framework) Write(caller, target int, level energy.Level, done func()) {
 	if caller < 0 || caller >= f.mach.Cores() || target < 0 || target >= f.mach.Cores() {
 		panic(fmt.Sprintf("cpufreq: write caller=%d target=%d out of range", caller, target))
 	}
-	start := f.eng.Now()
+	op := &f.ops[caller]
+	if op.done != nil {
+		panic(fmt.Sprintf("cpufreq: core %d writes with a write in flight", caller))
+	}
+	op.target, op.level, op.done = target, level, done
+	op.start = f.eng.Now()
 	f.writes++
 	f.armHousekeeping()
-	core := f.mach.Core(caller)
 	// 1. User→kernel: file write, interrupt, kernel entry.
-	core.Exec(f.costs.UserKernelCycles, 0, func() {
+	op.phase = writeEntered
+	f.mach.Core(caller).Exec(f.costs.UserKernelCycles, 0, op.stepCb)
+}
+
+// step advances the write one stage of the Figure 2 path.
+func (op *writeOp) step() {
+	f := op.f
+	switch op.phase {
+	case writeEntered:
 		// 2. The driver runs under the global cpufreq lock. The core
-		// blocks (stays busy / C0-active) until granted. lockStart and
-		// lockWait are assigned once before the closures that read them
-		// are created, so they are captured by value — recording adds no
-		// allocation to the write path.
-		lockStart := f.eng.Now()
-		f.lock.Acquire(func() {
-			lockWait := f.eng.Now() - lockStart
-			// 3. Driver computation + device register programming.
-			core.Exec(f.costs.DriverCycles, f.costs.DriverFixed, func() {
-				// 4. Kick the hardware transition.
-				f.mach.DVFS.Request(target, level)
-				f.lock.Release()
-				// 5. Return to user space.
-				core.Exec(f.costs.ReturnCycles, 0, func() {
-					lat := f.eng.Now() - start
-					f.writeLat.ObserveTime(lat)
-					f.perCaller[caller].ObserveTime(lat)
-					if f.rec != nil {
-						f.rec.CpufreqWrite(f.eng.Now(), caller, target, int(level), lockWait, lat)
-					}
-					done()
-				})
-			})
-		})
-	})
+		// blocks (stays busy / C0-active) until granted.
+		op.phase = writeLocked
+		op.lockStart = f.eng.Now()
+		f.lock.Acquire(op.stepCb)
+	case writeLocked:
+		// 3. Driver computation + device register programming.
+		op.lockWait = f.eng.Now() - op.lockStart
+		op.phase = writeDriven
+		f.mach.Core(op.caller).Exec(f.costs.DriverCycles, f.costs.DriverFixed, op.stepCb)
+	case writeDriven:
+		// 4. Kick the hardware transition, then 5. return to user space.
+		f.mach.DVFS.Request(op.target, op.level)
+		op.phase = writeReturned
+		f.lock.Release()
+		f.mach.Core(op.caller).Exec(f.costs.ReturnCycles, 0, op.stepCb)
+	case writeReturned:
+		lat := f.eng.Now() - op.start
+		f.writeLat.ObserveTime(lat)
+		f.perCaller[op.caller].ObserveTime(lat)
+		if f.rec != nil {
+			f.rec.CpufreqWrite(f.eng.Now(), op.caller, op.target, int(op.level), op.lockWait, lat)
+		}
+		done := op.done
+		op.done = nil
+		done()
+	}
 }
 
 // Writes returns the number of policy writes performed.

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"cata/internal/energy"
+	"cata/internal/program"
 	"cata/internal/sim"
 	"cata/internal/tdg"
 	"cata/internal/workloads"
@@ -190,6 +191,68 @@ func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 				}
 				if !bytes.Equal(ja, jb) {
 					t.Fatalf("%v seed=%d: reruns differ:\n%s\n%s", spec, seed, ja, jb)
+				}
+			}
+		}
+	}
+}
+
+// renameTokens returns a copy of prog whose dependence tokens are renamed
+// by an injective map.
+func renameTokens(prog *program.Program, rename func(tdg.Token) tdg.Token) *program.Program {
+	out := &program.Program{Name: prog.Name}
+	for _, it := range prog.Items {
+		if it.Barrier {
+			out.AddBarrier()
+			continue
+		}
+		spec := *it.Task
+		spec.Ins, spec.Outs = nil, nil
+		for _, tok := range it.Task.Ins {
+			spec.Ins = append(spec.Ins, rename(tok))
+		}
+		for _, tok := range it.Task.Outs {
+			spec.Outs = append(spec.Outs, rename(tok))
+		}
+		out.AddTask(spec)
+	}
+	return out
+}
+
+// TestTokenRenamingInvariance: tokens only name data, so renaming them
+// by an injective, sparse map (t ↦ t·2^40 + 7) leaves the full
+// measurement byte-identical, closed and under fixed arrivals. The
+// arrivals overlap two jobs of one template in the shared graph, shed
+// some, and admit later jobs into the records and reused token maps of
+// finished ones, whose data the graph has forgotten; the open runtime
+// renumbers every job's tokens on first sight, so no template token
+// value may leak into a result.
+func TestTokenRenamingInvariance(t *testing.T) {
+	rename := func(tok tdg.Token) tdg.Token { return tok<<40 + 7 }
+	for _, w := range []string{"dedup", "fluidanimate", "pipeline", "forkjoin"} {
+		for _, seed := range []uint64{7, 42} {
+			prog, err := workloads.Build(w, seed, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			renamed := renameTokens(prog, rename)
+			for _, policy := range []Policy{FIFO, CATA} {
+				for _, arrivals := range []string{"", "fixed:interval=6ms,jobs=8,cap=2"} {
+					spec := RunSpec{Policy: policy, FastCores: 8, Cores: 16, Seed: seed, Arrivals: arrivals}
+					var out [2][]byte
+					for i, p := range []*program.Program{prog, renamed} {
+						spec.Program = p
+						m, err := Run(spec)
+						if err != nil {
+							t.Fatalf("%s %v: %v", w, spec, err)
+						}
+						if out[i], err = json.Marshal(m); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !bytes.Equal(out[0], out[1]) {
+						t.Errorf("%s seed=%d %v: renaming tokens changed the measurement:\n%s\n%s", w, seed, spec, out[0], out[1])
+					}
 				}
 			}
 		}

@@ -18,37 +18,39 @@ import (
 // runOpen executes one open-system traffic run. spec has defaults
 // applied.
 func runOpen(spec RunSpec) (Measurement, error) {
+	holder, err := openHolder(spec)
+	if err != nil {
+		return Measurement{}, err
+	}
+	return runWith(spec, holder)
+}
+
+// openHolder schedules the spec's arrival stream and wires it, the
+// per-job program builds and the report collector into the runtime's
+// open-system configuration.
+func openHolder(spec RunSpec) (programHolder, error) {
 	proc, err := opensys.Parse(spec.Arrivals)
 	if err != nil {
-		return Measurement{}, fmt.Errorf("%v: %w", spec, err)
+		return programHolder{}, fmt.Errorf("%v: %w", spec, err)
 	}
 	schedule := proc.Schedule(spec.Seed)
-
-	// Per-job DAG templates: a custom Program is shared across jobs
-	// (the runtime isolates their dependences), while registry workloads
-	// are instantiated once per job with an independent seed stream so
-	// the stream carries DAG-level variation too.
-	progs := make([]*program.Program, proc.Jobs)
-	if spec.Program != nil {
-		for i := range progs {
-			progs[i] = spec.Program
-		}
-	} else {
-		for i := range progs {
-			p, err := workloads.Build(spec.Workload, opensys.JobSeed(spec.Seed, i), spec.Scale)
-			if err != nil {
-				return Measurement{}, fmt.Errorf("%v: job %d: %w", spec, i, err)
-			}
-			progs[i] = p
-		}
-	}
 
 	col := opensys.NewCollector(proc)
 	var lastArrival sim.Time
 	if len(schedule) > 0 {
 		lastArrival = schedule[len(schedule)-1]
 	}
-	holder := programHolder{
+	// Each job's DAG is built when it is admitted: a custom Program is
+	// shared across jobs (the runtime isolates their dependences), while
+	// a registry workload is instantiated per job with an independent
+	// seed stream, so the stream carries DAG-level variation too.
+	build := func(job int) (*program.Program, error) {
+		if spec.Program != nil {
+			return spec.Program, nil
+		}
+		return workloads.Build(spec.Workload, opensys.JobSeed(spec.Seed, job), spec.Scale)
+	}
+	return programHolder{
 		open: &rts.OpenConfig{
 			MaxInSystem: proc.Cap,
 			OnAdmit:     col.Admit,
@@ -65,12 +67,11 @@ func runOpen(spec RunSpec) (Measurement, error) {
 		extraSimTime: lastArrival,
 		inject: func(r *rts.Runtime) error {
 			for i, at := range schedule {
-				if err := r.Inject(at, i, progs[i]); err != nil {
+				if err := r.Inject(at, i, build); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
-	}
-	return runWith(spec, holder)
+	}, nil
 }

@@ -3,10 +3,13 @@ package exp
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"cata/internal/opensys"
+	"cata/internal/sim"
 	"cata/internal/spec"
 )
 
@@ -155,5 +158,58 @@ func TestClosedRunIgnoresOpenPath(t *testing.T) {
 	}
 	if m.Open != nil {
 		t.Fatal("closed run produced an Open report")
+	}
+}
+
+// openLiveHeap runs the open-soak template under fixed arrivals of the
+// given count and returns the live heap, after a collection, at the
+// moment the last arrival is accounted for: when the last job completes
+// (or the last arrival is shed).
+func openLiveHeap(t *testing.T, jobs int) uint64 {
+	t.Helper()
+	spec := RunSpec{
+		Workload: "forkjoin:width=16,phases=2,dur=200", Policy: CATA, FastCores: 16,
+		Arrivals: fmt.Sprintf("fixed:interval=150us,jobs=%d,cap=8", jobs),
+	}.withDefaults()
+	holder, err := openHolder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heap uint64
+	accounted := 0
+	account := func() {
+		if accounted++; accounted == jobs {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			heap = ms.HeapAlloc
+		}
+	}
+	onShed, onDone := holder.open.OnShed, holder.open.OnDone
+	holder.open.OnShed = func(job int, at sim.Time) { onShed(job, at); account() }
+	holder.open.OnDone = func(job int, arrived, done sim.Time) { onDone(job, arrived, done); account() }
+	m, err := runWith(spec, holder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Open.JobsCompleted < int64(jobs)/2 || heap == 0 {
+		t.Fatalf("%d arrivals: %+v, heap %d", jobs, m.Open, heap)
+	}
+	return heap
+}
+
+// TestOpenHeapBoundedByJobsInSystem: an open run holds only the jobs in
+// the system. Programs are built at admission and dropped at completion,
+// and a finished job's data leave the graph, so quadrupling the arrival
+// count at the same cap leaves the live heap at the last completion
+// nearly where it was: the arrival schedule and the engine's queue of
+// pending arrivals are all that grow, by bytes per job. Holding every
+// finished job's program and tasks would cost about 11 KB per job.
+func TestOpenHeapBoundedByJobsInSystem(t *testing.T) {
+	small, large := openLiveHeap(t, 200), openLiveHeap(t, 800)
+	t.Logf("live heap at the last completion: %d B with 200 arrivals, %d B with 800", small, large)
+	if perJob := (int64(large) - int64(small)) / 600; perJob > 1024 {
+		t.Errorf("live heap at the last completion grew from %d B (200 jobs) to %d B (800 jobs), %d B per added job; want under 1 KB",
+			small, large, perJob)
 	}
 }

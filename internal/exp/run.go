@@ -83,20 +83,29 @@ func (s RunSpec) withDefaults() RunSpec {
 	return s
 }
 
+// MaxCores is the largest machine a run may have: 32 times the paper's
+// 32 cores. The machine, the runtime and every reconfiguration module
+// keep per-core state, allocated before the first event, so the ceiling
+// bounds what one request can make a worker allocate.
+const MaxCores = 1024
+
 // CheckSizes rejects machine sizes no run can have, after defaults are
-// applied: a negative core count, a fast-core budget outside
-// [0, cores], and a scale outside (0, 1] (NaN included). Run applies it
-// before building anything; catad applies it at admission through
+// applied: a core count that is negative or above MaxCores, a fast-core
+// budget outside [0, cores], a scale outside (0, 1] (NaN included) and
+// a negative transition latency. Run applies it before building
+// anything; catad applies it at admission through
 // cata.RunConfig.Validate. The errors name the wire fields.
 func (s RunSpec) CheckSizes() error {
 	s = s.withDefaults()
 	switch {
-	case s.Cores < 0:
-		return fmt.Errorf("cores %d is negative", s.Cores)
+	case s.Cores < 0 || s.Cores > MaxCores:
+		return fmt.Errorf("cores %d out of range [0,%d]", s.Cores, MaxCores)
 	case s.FastCores < 0 || s.FastCores > s.Cores:
 		return fmt.Errorf("fast_cores %d out of range [0,%d]", s.FastCores, s.Cores)
 	case !(s.Scale > 0 && s.Scale <= 1):
 		return fmt.Errorf("scale %v out of range (0,1]", s.Scale)
+	case s.TransitionLatency < 0:
+		return fmt.Errorf("transition_latency_ns %v is negative", s.TransitionLatency)
 	}
 	return nil
 }

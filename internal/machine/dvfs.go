@@ -41,13 +41,17 @@ type DVFSController struct {
 	settleLatency stats.DurationSummary
 }
 
+// dvfsCore is one core's controller state and its transition record: a
+// core has at most one transition in flight, so the callback that lands
+// it is bound once, at construction, and a transition schedules no
+// closure.
 type dvfsCore struct {
-	actual       energy.Level
-	target       energy.Level
-	inFlight     bool
-	inFlightTo   energy.Level
-	requestedAt  sim.Time // when the currently unsatisfied target was requested
-	maxFastEpoch int64
+	actual      energy.Level
+	target      energy.Level
+	inFlight    bool
+	inFlightTo  energy.Level
+	requestedAt sim.Time // when the currently unsatisfied target was requested
+	landCb      func()   // complete(core), bound at construction
 }
 
 // NewDVFSController creates a controller with every core at cfg.SlowLevel.
@@ -55,7 +59,7 @@ func NewDVFSController(eng *sim.Engine, cfg *Config) *DVFSController {
 	d := &DVFSController{eng: eng, cfg: cfg}
 	d.cores = make([]dvfsCore, cfg.Cores)
 	for i := range d.cores {
-		d.cores[i] = dvfsCore{actual: cfg.SlowLevel, target: cfg.SlowLevel}
+		d.cores[i] = dvfsCore{actual: cfg.SlowLevel, target: cfg.SlowLevel, landCb: func() { d.complete(i) }}
 	}
 	return d
 }
@@ -130,7 +134,7 @@ func (d *DVFSController) begin(core int) {
 	c.inFlight = true
 	c.inFlightTo = c.target
 	d.transitions++
-	d.eng.After(d.cfg.TransitionLatency, func() { d.complete(core) })
+	d.eng.After(d.cfg.TransitionLatency, c.landCb)
 }
 
 func (d *DVFSController) complete(core int) {

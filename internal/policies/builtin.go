@@ -84,7 +84,7 @@ func init() {
 				u := rsu.New(env.Eng, env.Mach)
 				u.Init(env.FastCores)
 				env.Modules = append(env.Modules, u)
-				env.Cfg.Reconfig = rts.RSUReconfig{RSU: u, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
+				env.Cfg.Reconfig = rts.NewRSUReconfig(u, env.Mach, env.Cfg.Options.RSUOpCycles)
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},
@@ -109,7 +109,7 @@ func init() {
 				u.Init(env.FastCores)
 				rsu.NewHaltAware(u, env.Mach)
 				env.Modules = append(env.Modules, u)
-				env.Cfg.Reconfig = rts.RSUReconfig{RSU: u, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
+				env.Cfg.Reconfig = rts.NewRSUReconfig(u, env.Mach, env.Cfg.Options.RSUOpCycles)
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},
@@ -132,7 +132,7 @@ func init() {
 				ml := rsu.NewMultiLevel(env.Eng, env.Mach, rsu.ThreeLevelUnitCosts())
 				ml.Init(2 * env.FastCores)
 				env.Modules = append(env.Modules, ml)
-				env.Cfg.Reconfig = rts.RSUReconfig{RSU: ml, Machine: env.Mach, OpCycles: env.Cfg.Options.RSUOpCycles}
+				env.Cfg.Reconfig = rts.NewRSUReconfig(ml, env.Mach, env.Cfg.Options.RSUOpCycles)
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},

@@ -77,6 +77,40 @@ type RSM struct {
 
 	// rec, when non-nil, receives grant/deny events with budget state.
 	rec probe.Recorder
+
+	// ops holds one operation record per calling core.
+	ops []op
+}
+
+// opPhase is the step an RSM operation takes when its record's callback
+// next fires.
+type opPhase int
+
+const (
+	startLocked  opPhase = iota // TaskStart: runtime lock granted → bookkeeping
+	startBooked                 // bookkeeping paid → accelerate, swap or deny
+	startSwapped                // victim's deceleration written → accelerate own core
+	endLocked                   // TaskEnd: runtime lock granted → bookkeeping
+	endBooked                   // bookkeeping paid → decelerate own core
+	endSlowed                   // own deceleration written → hand the budget on
+	opWritten                   // last cpufreq write returned → finish
+)
+
+// op is one calling core's TaskStart or TaskEnd in flight. A core runs
+// one task at a time, so it has at most one operation in flight and one
+// record per core suffices: the step callback is bound at construction,
+// and an operation hands the lock, the core and the cpufreq framework no
+// closure.
+type op struct {
+	r     *RSM
+	core  int
+	crit  CritState // the criticality the operation installs
+	phase opPhase
+	start sim.Time
+	// done is the runtime's continuation; nil when no operation is in
+	// flight.
+	done   func()
+	stepCb func() // step, bound at construction
 }
 
 // New creates an RSM with the given power budget (maximum number of
@@ -85,7 +119,7 @@ func New(eng *sim.Engine, mach *machine.Machine, fw *cpufreq.Framework, budget i
 	if budget < 0 || budget > mach.Cores() {
 		panic(fmt.Sprintf("rsm: budget %d out of range [0,%d]", budget, mach.Cores()))
 	}
-	return &RSM{
+	r := &RSM{
 		eng:               eng,
 		mach:              mach,
 		fw:                fw,
@@ -94,7 +128,13 @@ func New(eng *sim.Engine, mach *machine.Machine, fw *cpufreq.Framework, budget i
 		crit:              make([]CritState, mach.Cores()),
 		accel:             make([]bool, mach.Cores()),
 		BookkeepingCycles: 400,
+		ops:               make([]op, mach.Cores()),
 	}
+	for i := range r.ops {
+		o := &r.ops[i]
+		o.r, o.core, o.stepCb = r, i, o.step
+	}
+	return r
 }
 
 // SetRecorder attaches a flight recorder reporting acceleration grants
@@ -175,69 +215,99 @@ func (r *RSM) Harvest(st stats.Reconfig, makespan sim.Time) stats.Reconfig {
 // calling core's timeline; done fires when it completes and the task may
 // start executing.
 func (r *RSM) TaskStart(core int, critical bool, done func()) {
-	start := r.eng.Now()
 	cs := NonCritical
 	if critical {
 		cs = Critical
 	}
-	r.lock.Acquire(func() {
-		r.mach.Core(core).Exec(r.BookkeepingCycles, 0, func() {
-			r.crit[core] = cs
-			switch {
-			case r.nAccel < r.budget:
-				r.accelerate(core)
-				r.write(core, core, true, func() { r.finishOp(core, start, done) })
-			case critical:
-				victim := r.findVictim()
-				if victim >= 0 {
-					r.decelerate(victim)
-					r.write(core, victim, false, func() {
-						r.accelerate(core)
-						r.write(core, core, true, func() { r.finishOp(core, start, done) })
-					})
-				} else {
-					// All accelerated cores run critical tasks: run slow.
-					r.denies++
-					if r.rec != nil {
-						r.rec.AccelDeny(r.eng.Now(), core, true, r.nAccel, r.budget)
-					}
-					r.finishOp(core, start, done)
-				}
-			default:
-				r.denies++
-				if r.rec != nil {
-					r.rec.AccelDeny(r.eng.Now(), core, false, r.nAccel, r.budget)
-				}
-				r.finishOp(core, start, done)
-			}
-		})
-	})
+	r.begin(core, cs, startLocked, done)
 }
 
 // TaskEnd runs the §III-A algorithm when a task finishes on core: the core
 // is decelerated and, if a critical task runs non-accelerated somewhere,
 // that core is accelerated with the freed budget.
 func (r *RSM) TaskEnd(core int, done func()) {
-	start := r.eng.Now()
-	r.lock.Acquire(func() {
-		r.mach.Core(core).Exec(r.BookkeepingCycles, 0, func() {
-			r.crit[core] = NoTask
-			if !r.accel[core] {
-				r.finishOp(core, start, done)
-				return
+	r.begin(core, NoTask, endLocked, done)
+}
+
+// begin starts core's operation: it queues on the runtime lock.
+func (r *RSM) begin(core int, cs CritState, phase opPhase, done func()) {
+	o := &r.ops[core]
+	if o.done != nil {
+		panic(fmt.Sprintf("rsm: core %d starts an operation with one in flight", core))
+	}
+	o.crit, o.phase, o.done = cs, phase, done
+	o.start = r.eng.Now()
+	r.lock.Acquire(o.stepCb)
+}
+
+// step advances the operation one stage.
+func (o *op) step() {
+	r := o.r
+	switch o.phase {
+	case startLocked, endLocked:
+		o.phase++
+		r.mach.Core(o.core).Exec(r.BookkeepingCycles, 0, o.stepCb)
+	case startBooked:
+		r.crit[o.core] = o.crit
+		critical := o.crit == Critical
+		switch {
+		case r.nAccel < r.budget:
+			r.accelerate(o.core)
+			o.write(o.core, true, opWritten)
+		case critical:
+			victim := r.findVictim()
+			if victim >= 0 {
+				r.decelerate(victim)
+				o.write(victim, false, startSwapped)
+			} else {
+				// All accelerated cores run critical tasks: run slow.
+				r.deny(o.core, true)
 			}
-			r.decelerate(core)
-			r.write(core, core, false, func() {
-				next := r.findWaitingCritical()
-				if next < 0 {
-					r.finishOp(core, start, done)
-					return
-				}
-				r.accelerate(next)
-				r.write(core, next, true, func() { r.finishOp(core, start, done) })
-			})
-		})
-	})
+		default:
+			r.deny(o.core, false)
+		}
+	case startSwapped:
+		r.accelerate(o.core)
+		o.write(o.core, true, opWritten)
+	case endBooked:
+		r.crit[o.core] = NoTask
+		if !r.accel[o.core] {
+			r.finishOp(o)
+			return
+		}
+		r.decelerate(o.core)
+		o.write(o.core, false, endSlowed)
+	case endSlowed:
+		next := r.findWaitingCritical()
+		if next < 0 {
+			r.finishOp(o)
+			return
+		}
+		r.accelerate(next)
+		o.write(next, true, opWritten)
+	case opWritten:
+		r.finishOp(o)
+	}
+}
+
+// write issues one cpufreq write from the operation's core, resuming at
+// phase then when it returns.
+func (o *op) write(target int, fast bool, then opPhase) {
+	level := o.r.mach.Cfg.SlowLevel
+	if fast {
+		level = o.r.mach.Cfg.FastLevel
+	}
+	o.phase = then
+	o.r.fw.Write(o.core, target, level, o.stepCb)
+}
+
+// deny ends a TaskStart that leaves its core slow.
+func (r *RSM) deny(core int, critical bool) {
+	r.denies++
+	if r.rec != nil {
+		r.rec.AccelDeny(r.eng.Now(), core, critical, r.nAccel, r.budget)
+	}
+	r.finishOp(&r.ops[core])
 }
 
 // findVictim returns an accelerated core running a non-critical task, or
@@ -288,18 +358,12 @@ func (r *RSM) decelerate(core int) {
 	r.decels++
 }
 
-func (r *RSM) write(caller, target int, fast bool, done func()) {
-	level := r.mach.Cfg.SlowLevel
-	if fast {
-		level = r.mach.Cfg.FastLevel
-	}
-	r.fw.Write(caller, target, level, done)
-}
-
-func (r *RSM) finishOp(core int, start sim.Time, done func()) {
+func (r *RSM) finishOp(o *op) {
 	r.lock.Release()
-	lat := r.eng.Now() - start
+	lat := r.eng.Now() - o.start
 	r.opLatency.ObserveTime(lat)
 	r.opTimeTotal += lat
+	done := o.done
+	o.done = nil
 	done()
 }

@@ -13,6 +13,7 @@ package rts
 // stay bit-identical.
 
 import (
+	"errors"
 	"fmt"
 
 	"cata/internal/program"
@@ -44,39 +45,57 @@ type openState struct {
 	cfg      OpenConfig
 	pending  int // arrivals injected but not yet delivered by the engine
 	inSystem int // admitted, not yet completed jobs
-	taskJob  map[*tdg.Task]*openJob
+	// jobs is the job table, indexed by tdg.Task.Job; free lists the
+	// slots of completed jobs, which the next admissions reuse. The table
+	// grows to the peak number of jobs in the system, no further.
+	jobs []*openJob
+	free []int
 	// nextToken allocates globally fresh dependence tokens: every job's
 	// template tokens are remapped so jobs instantiated from the same
 	// template never alias each other's data in the shared graph.
 	nextToken tdg.Token
+	// err is a failed admission; it stops the engine and Run returns it.
+	err error
 }
 
 // openJob is one admitted job: a program template stepped through
 // phase by phase. Consecutive tasks are submitted together at phase
 // start (the whole sub-DAG enters the TDG; dependences pace execution);
 // a barrier item ends the phase, and the next phase starts when every
-// in-flight task of this job has completed.
+// in-flight task of this job has completed. A completed job's record
+// is reused, maps and lists emptied, by a later admission.
 type openJob struct {
+	slot    int // index in openState.jobs
 	id      int
 	prog    *program.Program
 	next    int // next program item to process
 	live    int // submitted-but-unfinished tasks of this job
 	arrived sim.Time
-	tokens  map[tdg.Token]tdg.Token // template token -> fresh global token
+	// tokens maps template tokens to fresh global ones on first sight,
+	// and fresh lists the global ones in that order, for Forget.
+	tokens map[tdg.Token]tdg.Token
+	fresh  []tdg.Token
+	// toks is the unused rest of the job's one backing array, from which
+	// each task's remapped Ins and Outs are cut.
+	toks []tdg.Token
 }
 
-// Inject schedules one job arrival at the given simulated time. It must
-// be called after New and before Run, on a runtime configured with
-// Config.Open. Job IDs are caller-chosen and only echoed to callbacks.
-func (r *Runtime) Inject(at sim.Time, jobID int, prog *program.Program) error {
+// Inject schedules the arrival of job jobID at the given simulated
+// time. It must be called after New and before Run, on a runtime
+// configured with Config.Open. Job IDs are caller-chosen and only passed
+// back to build and the OpenConfig callbacks.
+//
+// The job's program is built when the job is admitted: the runtime
+// calls build(jobID) then, never for a shed arrival, and drops the
+// program when the job completes, so only the programs of jobs in the
+// system are held. A build error, or an invalid program, ends the run,
+// and Run returns it.
+func (r *Runtime) Inject(at sim.Time, jobID int, build func(jobID int) (*program.Program, error)) error {
 	if r.open == nil {
 		return fmt.Errorf("rts: Inject on a closed-system runtime")
 	}
-	if prog == nil {
-		return fmt.Errorf("rts: Inject with nil program")
-	}
-	if err := prog.Validate(); err != nil {
-		return err
+	if build == nil {
+		return fmt.Errorf("rts: Inject of job %d without a program builder", jobID)
 	}
 	if at < r.eng.Now() {
 		// An arrival schedule that overflowed simulated time, e.g. from
@@ -84,13 +103,13 @@ func (r *Runtime) Inject(at sim.Time, jobID int, prog *program.Program) error {
 		return fmt.Errorf("rts: Inject of job %d at %v, before the current time %v", jobID, at, r.eng.Now())
 	}
 	r.open.pending++
-	r.eng.At(at, func() { r.openArrive(jobID, prog) })
+	r.eng.At(at, func() { r.openArrive(jobID, build) })
 	return nil
 }
 
-// openArrive delivers one arrival: admit (and submit the first phase)
-// or shed against the in-system cap.
-func (r *Runtime) openArrive(jobID int, prog *program.Program) {
+// openArrive delivers one arrival: admit (build its program and submit
+// the first phase) or shed against the in-system cap.
+func (r *Runtime) openArrive(jobID int, build func(int) (*program.Program, error)) {
 	o := r.open
 	o.pending--
 	now := r.eng.Now()
@@ -105,17 +124,44 @@ func (r *Runtime) openArrive(jobID int, prog *program.Program) {
 		}
 		return
 	}
+	prog, err := build(jobID)
+	if err == nil && prog == nil {
+		err = errors.New("no program")
+	}
+	if err == nil {
+		err = prog.Validate()
+	}
+	if err != nil {
+		o.err = fmt.Errorf("rts: job %d: %w", jobID, err)
+		r.eng.Stop()
+		return
+	}
 	o.inSystem++
 	if o.cfg.OnAdmit != nil {
 		o.cfg.OnAdmit(jobID, now)
 	}
-	j := &openJob{
-		id:      jobID,
-		prog:    prog,
-		arrived: now,
-		tokens:  make(map[tdg.Token]tdg.Token),
+	r.openAdvance(o.admit(jobID, prog, now))
+}
+
+// admit takes a job record, a free one first, for an admitted job.
+func (o *openState) admit(jobID int, prog *program.Program, now sim.Time) *openJob {
+	var j *openJob
+	if n := len(o.free); n > 0 {
+		j = o.jobs[o.free[n-1]]
+		o.free = o.free[:n-1]
+	} else {
+		j = &openJob{slot: len(o.jobs), tokens: make(map[tdg.Token]tdg.Token)}
+		o.jobs = append(o.jobs, j)
 	}
-	r.openAdvance(j)
+	n := 0
+	for _, it := range prog.Items {
+		if it.Task != nil {
+			n += len(it.Task.Ins) + len(it.Task.Outs)
+		}
+	}
+	j.id, j.prog, j.next, j.live, j.arrived = jobID, prog, 0, 0, now
+	j.toks = make([]tdg.Token, n)
+	return j
 }
 
 // openAdvance submits program items until the job blocks on a barrier
@@ -152,6 +198,7 @@ func (r *Runtime) openSubmit(j *openJob, spec *program.TaskSpec) {
 		IOTime:      spec.IOTime,
 		Ins:         j.remap(r.open, spec.Ins),
 		Outs:        j.remap(r.open, spec.Outs),
+		Job:         j.slot,
 		SubmittedAt: r.eng.Now(),
 		Core:        -1,
 	}
@@ -159,25 +206,27 @@ func (r *Runtime) openSubmit(j *openJob, spec *program.TaskSpec) {
 	if r.opts.RetainTasks {
 		r.retained = append(r.retained, t)
 	}
-	r.open.taskJob[t] = j
 	j.live++
 	visited := r.graph.Submit(t) // may fire onTaskReady synchronously
 	r.submitVisited += int64(visited)
 }
 
 // remap translates a template's dependence tokens into the job's fresh
-// global tokens, allocating on first sight.
+// global tokens, allocating on first sight, into the next stretch of the
+// job's backing array.
 func (j *openJob) remap(o *openState, ts []tdg.Token) []tdg.Token {
 	if len(ts) == 0 {
 		return nil
 	}
-	out := make([]tdg.Token, len(ts))
+	out := j.toks[:len(ts):len(ts)]
+	j.toks = j.toks[len(ts):]
 	for i, tok := range ts {
 		nt, ok := j.tokens[tok]
 		if !ok {
 			nt = o.nextToken
 			o.nextToken++
 			j.tokens[tok] = nt
+			j.fresh = append(j.fresh, nt)
 		}
 		out[i] = nt
 	}
@@ -187,22 +236,29 @@ func (j *openJob) remap(o *openState, ts []tdg.Token) []tdg.Token {
 // openTaskDone accounts one task completion against its job, advancing
 // the job past a drained phase boundary (or to completion).
 func (r *Runtime) openTaskDone(t *tdg.Task) {
-	o := r.open
-	j := o.taskJob[t]
-	delete(o.taskJob, t)
+	j := r.open.jobs[t.Job]
 	j.live--
 	if j.live == 0 {
 		r.openAdvance(j)
 	}
 }
 
-// openJobDone retires a completed job.
+// openJobDone retires a completed job. Its data leave the graph — no
+// other job names them — so nothing keeps its tasks or its program, and
+// its record goes back to the free list.
 func (r *Runtime) openJobDone(j *openJob) {
 	o := r.open
 	o.inSystem--
 	if o.cfg.OnDone != nil {
 		o.cfg.OnDone(j.id, j.arrived, r.eng.Now())
 	}
+	for _, tok := range j.fresh {
+		r.graph.Forget(tok)
+	}
+	clear(j.tokens)
+	j.fresh = j.fresh[:0]
+	j.prog, j.toks = nil, nil
+	o.free = append(o.free, j.slot)
 }
 
 // openFinished is the open-system termination condition: every injected

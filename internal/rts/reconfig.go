@@ -58,28 +58,67 @@ type TaskUnit interface {
 
 // RSUReconfig drives a hardware task unit: the runtime executes one
 // rsu_start_task/rsu_end_task instruction (a few cycles on the calling
-// core); decision and DVFS programming happen in hardware.
+// core); decision and DVFS programming happen in hardware. Build it with
+// NewRSUReconfig.
 type RSUReconfig struct {
-	RSU      TaskUnit
-	Machine  *machine.Machine
-	OpCycles int64
+	unit     TaskUnit
+	mach     *machine.Machine
+	opCycles int64
+	ops      []rsuOp // one per calling core
+}
+
+// rsuOp is one calling core's RSU instruction in flight. A core issues
+// one at a time, so one record per core suffices; its step callback is
+// bound at construction and an instruction schedules no closure.
+type rsuOp struct {
+	r        *RSUReconfig
+	core     int
+	end      bool // the phase: rsu_end_task, else rsu_start_task
+	critical bool
+	done     func() // the runtime's continuation
+	stepCb   func() // step, bound at construction
+}
+
+// NewRSUReconfig returns the mechanism driving unit on the machine's
+// cores, each instruction costing opCycles on the calling core.
+func NewRSUReconfig(unit TaskUnit, mach *machine.Machine, opCycles int64) *RSUReconfig {
+	r := &RSUReconfig{unit: unit, mach: mach, opCycles: opCycles, ops: make([]rsuOp, mach.Cores())}
+	for i := range r.ops {
+		o := &r.ops[i]
+		o.r, o.core, o.stepCb = r, i, o.step
+	}
+	return r
 }
 
 // Name implements Reconfigurer.
-func (r RSUReconfig) Name() string { return "rsu" }
+func (r *RSUReconfig) Name() string { return "rsu" }
 
 // TaskStart implements Reconfigurer.
-func (r RSUReconfig) TaskStart(core int, t *tdg.Task, done func()) {
-	r.Machine.Core(core).Exec(r.OpCycles, 0, func() {
-		r.RSU.StartTask(core, t.Critical)
-		done()
-	})
+func (r *RSUReconfig) TaskStart(core int, t *tdg.Task, done func()) {
+	r.issue(core, false, t.Critical, done)
 }
 
 // TaskEnd implements Reconfigurer.
-func (r RSUReconfig) TaskEnd(core int, _ *tdg.Task, done func()) {
-	r.Machine.Core(core).Exec(r.OpCycles, 0, func() {
-		r.RSU.EndTask(core)
-		done()
-	})
+func (r *RSUReconfig) TaskEnd(core int, _ *tdg.Task, done func()) {
+	r.issue(core, true, false, done)
+}
+
+// issue charges the instruction on core; the unit acts when it retires.
+func (r *RSUReconfig) issue(core int, end, critical bool, done func()) {
+	o := &r.ops[core]
+	o.end, o.critical, o.done = end, critical, done
+	r.mach.Core(core).Exec(r.opCycles, 0, o.stepCb)
+}
+
+// step retires the instruction: the unit decides, then the runtime
+// resumes.
+func (o *rsuOp) step() {
+	if o.end {
+		o.r.unit.EndTask(o.core)
+	} else {
+		o.r.unit.StartTask(o.core, o.critical)
+	}
+	done := o.done
+	o.done = nil
+	done()
 }

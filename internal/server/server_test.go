@@ -313,11 +313,13 @@ func TestFailedRunReported(t *testing.T) {
 	}
 }
 
-// TestHostileSizesRejected: fast_cores outside [0, cores], a negative
-// core count and a scale outside (0, 1] are refused at admission with a
-// 400 naming the field, for runs and for sweeps, and nothing is queued.
-// Each of these used to pass admission and panic a worker goroutine,
-// taking the daemon and every in-flight job down.
+// TestHostileSizesRejected: fast_cores outside [0, cores], a core count
+// outside [0, 1024], a scale outside (0, 1] and a negative transition
+// latency are refused at admission with a 400 naming the field, for runs
+// and for sweeps, and nothing is queued. The first three used to pass
+// admission and panic a worker goroutine, taking the daemon and every
+// in-flight job down, or make it allocate per-core state for a billion
+// cores; a negative latency was silently replaced by the default.
 func TestHostileSizesRejected(t *testing.T) {
 	base, c := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
 	for _, tc := range []struct{ path, body, field string }{
@@ -329,10 +331,13 @@ func TestHostileSizesRejected(t *testing.T) {
 		{"/v1/runs", `{"workload":"dedup","policy":"CATA+RSU-3L","fast_cores":64}`, "fast_cores"},
 		{"/v1/runs", `{"workload":"dedup","cores":8,"fast_cores":16}`, "fast_cores"},
 		{"/v1/runs", `{"workload":"dedup","cores":-1}`, "cores"},
+		{"/v1/runs", `{"workload":"dedup","cores":1073741824}`, "cores"},
 		{"/v1/runs", `{"workload":"dedup","scale":1.5}`, "scale"},
 		{"/v1/runs", `{"workload":"dedup","scale":-0.5}`, "scale"},
+		{"/v1/runs", `{"workload":"dedup","transition_latency_ns":-5}`, "transition_latency_ns"},
 		{"/v1/sweeps", `{"workloads":["dedup"],"fast_cores":[8,64]}`, "fast_cores"},
 		{"/v1/sweeps", `{"workloads":["dedup"],"cores":8}`, "fast_cores"},
+		{"/v1/sweeps", `{"workloads":["dedup"],"cores":1073741824}`, "cores"},
 		{"/v1/sweeps", `{"workloads":["dedup"],"scale":2}`, "scale"},
 	} {
 		got := post400(t, base, tc.path, tc.body)

@@ -31,6 +31,9 @@ type Graph struct {
 
 	writers map[Token]*Task
 	readers map[Token][]*Task
+	// spare holds the emptied reader lists of forgotten data, reused by
+	// the next data the graph first sees.
+	spare [][]*Task
 
 	submitted int
 	completed int
@@ -97,7 +100,12 @@ func (g *Graph) Submit(t *Task) (visited int) {
 	}
 	// Register accesses: readers accumulate until the next writer.
 	for _, d := range t.Ins {
-		g.readers[d] = append(g.readers[d], t)
+		rs := g.readers[d]
+		if cap(rs) == 0 && len(g.spare) > 0 {
+			rs = g.spare[len(g.spare)-1]
+			g.spare = g.spare[:len(g.spare)-1]
+		}
+		g.readers[d] = append(rs, t)
 	}
 	for _, d := range t.Outs {
 		g.writers[d] = t
@@ -188,6 +196,30 @@ func (g *Graph) decBL(v int64) {
 		for g.maxBL > 0 && g.blCount[g.maxBL] == 0 {
 			g.maxBL--
 		}
+	}
+}
+
+// Forget drops datum tok from the graph: its last writer and its readers
+// since. A later access to tok depends on nothing submitted before. The
+// open-system runtime forgets a finished job's data, which nothing else
+// names, so the graph stops holding the job's tasks. Forgetting a datum
+// a live task still accesses would lose that task's dependences, so it
+// panics.
+func (g *Graph) Forget(tok Token) {
+	if w := g.writers[tok]; w != nil && w.state != Done {
+		panic(fmt.Sprintf("tdg: Forget of datum %d written by %v", tok, w))
+	}
+	rs := g.readers[tok]
+	for _, r := range rs {
+		if r.state != Done {
+			panic(fmt.Sprintf("tdg: Forget of datum %d read by %v", tok, r))
+		}
+	}
+	delete(g.writers, tok)
+	delete(g.readers, tok)
+	if cap(rs) > 0 {
+		clear(rs[:cap(rs)]) // a writer truncates the list but leaves its old readers behind len
+		g.spare = append(g.spare, rs[:0])
 	}
 }
 

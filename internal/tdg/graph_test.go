@@ -484,3 +484,49 @@ func TestBottomLevelInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestForget: a forgotten datum's next access starts fresh, with no
+// dependence on the tasks that accessed it before; its emptied reader
+// list is reused; forgetting a datum a live task accesses panics.
+func TestForget(t *testing.T) {
+	g, ready := collectReady()
+	w := mkTask(0, nil, []Token{1})
+	r1, r2 := mkTask(1, []Token{1}, nil), mkTask(2, []Token{1}, nil)
+	for _, task := range []*Task{w, r1, r2} {
+		g.Submit(task)
+	}
+	mustPanic := func(what string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Forget with %s did not panic", what)
+			}
+		}()
+		g.Forget(1)
+	}
+	mustPanic("a live writer")
+	runAll(g, ready)
+	g.Forget(1)
+	g.Forget(1) // idempotent
+	if len(g.writers) != 0 || len(g.readers) != 0 || len(g.spare) != 1 {
+		t.Fatalf("after Forget: %d writers, %d readers, %d spare lists", len(g.writers), len(g.readers), len(g.spare))
+	}
+	for _, p := range g.spare[0][:cap(g.spare[0])] {
+		if p != nil {
+			t.Fatal("a spare reader list still holds a forgotten task")
+		}
+	}
+	// A new writer of datum 1 waits for nobody; a new reader reuses the
+	// spare list.
+	w2 := mkTask(3, nil, []Token{1})
+	g.Submit(w2)
+	if w2.State() != Ready || len(w2.Preds()) != 0 {
+		t.Fatalf("writer after Forget: %v, preds %v", w2, w2.Preds())
+	}
+	r3 := mkTask(4, []Token{1}, nil)
+	g.Submit(r3)
+	if len(g.spare) != 0 {
+		t.Fatal("the spare reader list was not reused")
+	}
+	mustPanic("a live writer and reader")
+}

@@ -87,6 +87,10 @@ type Task struct {
 	// incrementally by the graph.
 	BottomLevel int64
 
+	// Job is the slot of the open-system job the task belongs to in the
+	// runtime's job table; zero in closed runs.
+	Job int
+
 	state State
 	preds []*Task
 	succs []*Task

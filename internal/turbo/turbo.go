@@ -47,6 +47,12 @@ type Controller struct {
 
 	reassigns  int64
 	wakeBoosts int64
+
+	// handoffCb is handoff, bound at construction: every pending handoff
+	// is the same step, so halts schedule no closure. cand is
+	// pickActive's reused candidate list.
+	handoffCb func()
+	cand      []int
 }
 
 // New creates a TurboMode controller with the given fast-core budget and
@@ -63,7 +69,9 @@ func New(eng *sim.Engine, mach *machine.Machine, budget int, rng *xrand.Source) 
 		budget:          budget,
 		accel:           make([]bool, mach.Cores()),
 		DecisionLatency: 150 * sim.Microsecond,
+		cand:            make([]int, 0, mach.Cores()),
 	}
+	c.handoffCb = c.handoff
 	mach.OnHalt(c.onHalt)
 	mach.OnWake(c.onWake)
 	return c
@@ -114,15 +122,18 @@ func (c *Controller) onHalt(core int) {
 		return
 	}
 	c.decelerate(core)
-	c.eng.After(c.DecisionLatency, func() {
-		if c.nAccel >= c.budget {
-			return
-		}
-		if victim := c.pickActive(); victim >= 0 {
-			c.accelerate(victim)
-			c.reassigns++
-		}
-	})
+	c.eng.After(c.DecisionLatency, c.handoffCb)
+}
+
+// handoff lands a halt's budget handoff on a random active core.
+func (c *Controller) handoff() {
+	if c.nAccel >= c.budget {
+		return
+	}
+	if victim := c.pickActive(); victim >= 0 {
+		c.accelerate(victim)
+		c.reassigns++
+	}
 }
 
 // onWake: "the core is accelerated only if there is enough power budget".
@@ -137,16 +148,16 @@ func (c *Controller) onWake(core int) {
 // pickActive returns a uniformly random active (C0), non-accelerated core,
 // or -1 if none exists.
 func (c *Controller) pickActive() int {
-	var candidates []int
+	c.cand = c.cand[:0]
 	for i := 0; i < c.mach.Cores(); i++ {
 		if !c.accel[i] && c.mach.Core(i).Active() {
-			candidates = append(candidates, i)
+			c.cand = append(c.cand, i)
 		}
 	}
-	if len(candidates) == 0 {
+	if len(c.cand) == 0 {
 		return -1
 	}
-	return candidates[c.rng.Intn(len(candidates))]
+	return c.cand[c.rng.Intn(len(c.cand))]
 }
 
 func (c *Controller) accelerate(core int) {
