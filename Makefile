@@ -12,7 +12,7 @@ COVER_FLOOR ?= 75.0
 # Fuzz-smoke budget, per fuzz target.
 FUZZTIME ?= 30s
 
-.PHONY: all build test bench bench-capture bench-check vet fmt fmt-check smoke opensys-smoke fuzz-smoke cover cover-check lint docs-check ci
+.PHONY: all build test bench bench-capture bench-check vet fmt fmt-check fma-check smoke opensys-smoke fuzz-smoke cover cover-check lint docs-check ci
 
 all: build
 
@@ -65,6 +65,20 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
+# Fails on any fused multiply-add in the module's arm64 code. The Go
+# spec lets a compiler fuse x*y + z into one instruction with a single
+# rounding; arm64's does and amd64's does not, so a fused instruction
+# makes a result's bits depend on the architecture. An explicit
+# conversion, float64(x*y) + z, prevents the fusion. The toolchain
+# cross-compiles the arm64 standard library offline.
+fma-check:
+	@asm=$$(mktemp); trap 'rm -f "$$asm"' EXIT; \
+	GOARCH=arm64 $(GO) build -gcflags='cata/...=-S' ./... > "$$asm" 2>&1 || \
+		{ GOARCH=arm64 $(GO) build ./... >&2; exit 1; }; \
+	n=$$(grep -cE 'FMADD|FMSUB|FNMADD|FNMSUB' "$$asm"); \
+	echo "fma-check: $$n fused multiply-add instructions in the module's arm64 code"; \
+	if [ "$$n" -ne 0 ]; then grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' "$$asm" >&2; exit 1; fi
+
 # Exercises the catasweep binary path end to end at a tiny scale.
 smoke:
 	$(GO) test -run TestSweep -count=1 ./cmd/catasweep
@@ -116,6 +130,6 @@ docs-check:
 # The local CI mirror: everything the workflow gates, minus the pinned
 # tool installs (lint degrades gracefully when staticcheck/govulncheck
 # are absent). A short fuzz budget keeps it quick.
-ci: fmt-check build lint test smoke opensys-smoke cover-check docs-check
+ci: fmt-check build fma-check lint test smoke opensys-smoke cover-check docs-check
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-check

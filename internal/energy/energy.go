@@ -160,14 +160,17 @@ func (m *Model) LeakWatts(l Level) float64 {
 }
 
 // CoreWatts returns total power of one core at level l in C-state c.
+// Both terms are products; rounding each (float64(...)) keeps an
+// architecture from fusing one into a multiply-add, so the sum has the
+// same bits on every machine.
 func (m *Model) CoreWatts(l Level, c CState) float64 {
 	switch c {
 	case C0Active:
-		return m.DynamicWatts(l, 1) + m.LeakWatts(l)
+		return float64(m.DynamicWatts(l, 1)) + float64(m.LeakWatts(l))
 	case C0Idle:
-		return m.DynamicWatts(l, m.IdleActivity) + m.LeakWatts(l)
+		return float64(m.DynamicWatts(l, m.IdleActivity)) + float64(m.LeakWatts(l))
 	case C1Halt:
-		return m.DynamicWatts(l, m.HaltActivity) + m.LeakWatts(l)
+		return float64(m.DynamicWatts(l, m.HaltActivity)) + float64(m.LeakWatts(l))
 	case C3Sleep:
 		return m.LeakWatts(l) * m.SleepLeakFraction
 	default:

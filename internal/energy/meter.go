@@ -74,7 +74,10 @@ func (m *Meter) SetState(core int, level Level, cst CState) {
 	if t < c.since {
 		panic(fmt.Sprintf("energy: core %d time went backwards %v -> %v", core, c.since, t))
 	}
-	m.joules += m.model.CoreWatts(c.level, c.cst) * (t - c.since).Seconds()
+	// The product is rounded before it is summed, so no architecture
+	// fuses it into a multiply-add and joules are the same bits
+	// everywhere.
+	m.joules += float64(m.model.CoreWatts(c.level, c.cst) * (t - c.since).Seconds())
 	if m.rec != nil {
 		m.curWatts += m.model.CoreWatts(level, cst) - m.model.CoreWatts(c.level, c.cst)
 		m.rec.Power(t, m.curWatts+m.uncore)
@@ -99,11 +102,11 @@ func (m *Meter) Finish() float64 {
 	t := m.now()
 	for i := range m.cores {
 		c := &m.cores[i]
-		m.joules += m.model.CoreWatts(c.level, c.cst) * (t - c.since).Seconds()
+		m.joules += float64(m.model.CoreWatts(c.level, c.cst) * (t - c.since).Seconds())
 		c.since = t
 	}
 	elapsed := (t - m.start).Seconds()
-	m.joules += m.model.UncoreWattsPerCore * float64(len(m.cores)) * elapsed
+	m.joules += float64(m.model.UncoreWattsPerCore * float64(len(m.cores)) * elapsed)
 	m.done = true
 	return m.joules
 }

@@ -42,40 +42,42 @@ func sampleDuringRun(t *testing.T, spec RunSpec, every sim.Time, sample func(*ri
 	return samples
 }
 
-// acceleratedCount returns the accelerated-core count of a module that
-// keeps one — the RSM, the RSU and TurboMode's controller, each read
-// through its own type.
-func acceleratedCount(m policies.Module) (int, bool) {
+// heldBudget returns the budget a module keeps and how much of it is
+// held: the units of the RSM's and the RSU's allocator, the accelerated
+// cores of TurboMode's controller.
+func heldBudget(m policies.Module) (held, budget int, ok bool) {
 	switch m := m.(type) {
 	case *rsm.RSM:
-		return m.AcceleratedCount(), true
+		return m.Alloc().Used(), m.Alloc().Budget(), true
 	case *rsu.RSU:
-		return m.AcceleratedCount(), true
+		return m.Alloc().Used(), m.Alloc().Budget(), true
 	case *turbo.Controller:
-		return m.AcceleratedCount(), true
+		return m.AcceleratedCount(), m.Budget(), true
 	}
-	return 0, false
+	return 0, 0, false
 }
 
-// TestBudgetInvariantDuringFullRuns: at no point during a CATA, CATA+RSU
-// or TurboMode run may the committed fast-core count exceed the budget,
-// nor may the accelerated count the policy's module keeps.
+// TestBudgetInvariantDuringFullRuns: at no point during a CATA, CATA+RSU,
+// TurboMode, CATA+RSU-HA or CATA+RSU-3L run may the committed fast-core
+// count exceed the fast-core budget, nor may the budget the policy's
+// module holds exceed what it was given: fast cores for the two-level
+// modules, power units (two per fast core) for the three-level RSU.
 func TestBudgetInvariantDuringFullRuns(t *testing.T) {
-	for _, policy := range []Policy{CATA, CATARSU, TURBO, CATARSUHA} {
+	for _, policy := range []Policy{CATA, CATARSU, TURBO, CATARSUHA, CATA3L} {
 		for _, w := range []string{"swaptions", "dedup"} {
-			const budget = 3
+			const fastCores = 3
 			violations, moduleChecks := 0, 0
 			n := sampleDuringRun(t, RunSpec{
-				Workload: w, Policy: policy, FastCores: budget,
+				Workload: w, Policy: policy, FastCores: fastCores,
 				Cores: 8, Scale: 0.15,
 			}, 50*sim.Microsecond, func(r *rig) {
-				if r.mach.DVFS.CommittedFast() > budget {
+				if r.mach.DVFS.CommittedFast() > fastCores {
 					violations++
 				}
 				for _, m := range r.modules {
-					if accel, ok := acceleratedCount(m); ok {
+					if held, budget, ok := heldBudget(m); ok {
 						moduleChecks++
-						if accel > budget {
+						if held > budget {
 							violations++
 						}
 					}
@@ -85,7 +87,7 @@ func TestBudgetInvariantDuringFullRuns(t *testing.T) {
 				t.Fatalf("%v/%s: only %d samples — run too short to mean anything", policy, w, n)
 			}
 			if moduleChecks < n {
-				t.Fatalf("%v/%s: module accelerated count checked in %d of %d samples", policy, w, moduleChecks, n)
+				t.Fatalf("%v/%s: module budget checked in %d of %d samples", policy, w, moduleChecks, n)
 			}
 			if violations > 0 {
 				t.Errorf("%v/%s: %d budget violations across %d samples", policy, w, violations, n)
@@ -95,7 +97,8 @@ func TestBudgetInvariantDuringFullRuns(t *testing.T) {
 }
 
 // TestUnitBudgetInvariantDuringMLRun: the multi-level extension's
-// power-unit pool is never oversubscribed mid-run.
+// power-unit pool, two units per fast core, is never oversubscribed
+// mid-run.
 func TestUnitBudgetInvariantDuringMLRun(t *testing.T) {
 	const fastCores = 3 // pool = 6 units
 	violations := 0
@@ -103,16 +106,16 @@ func TestUnitBudgetInvariantDuringMLRun(t *testing.T) {
 		Workload: "swaptions", Policy: CATA3L, FastCores: fastCores,
 		Cores: 8, Scale: 0.15,
 	}, 50*sim.Microsecond, func(r *rig) {
-		var ml *rsu.MultiLevel
+		var unit *rsu.RSU
 		for _, m := range r.modules {
-			if u, ok := m.(*rsu.MultiLevel); ok {
-				ml = u
+			if u, ok := m.(*rsu.RSU); ok && len(u.Alloc().Costs()) == 3 {
+				unit = u
 			}
 		}
-		if ml == nil {
-			t.Fatalf("CATA+RSU-3L modules %T carry no multi-level unit", r.modules)
+		if unit == nil {
+			t.Fatalf("CATA+RSU-3L modules %T carry no three-level unit", r.modules)
 		}
-		if ml.UnitsUsed() > ml.UnitBudget() {
+		if unit.Alloc().Budget() != 2*fastCores || unit.Alloc().Used() > unit.Alloc().Budget() {
 			violations++
 		}
 	})

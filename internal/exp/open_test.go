@@ -161,14 +161,14 @@ func TestClosedRunIgnoresOpenPath(t *testing.T) {
 	}
 }
 
-// openLiveHeap runs the open-soak template under fixed arrivals of the
-// given count and returns the live heap, after a collection, at the
-// moment the last arrival is accounted for: when the last job completes
-// (or the last arrival is shed).
-func openLiveHeap(t *testing.T, jobs int) uint64 {
+// openLiveHeap runs the open-soak template under the policy with fixed
+// arrivals of the given count and returns the live heap, after a
+// collection, at the moment the last arrival is accounted for: when the
+// last job completes (or the last arrival is shed).
+func openLiveHeap(t *testing.T, policy Policy, jobs int) uint64 {
 	t.Helper()
 	spec := RunSpec{
-		Workload: "forkjoin:width=16,phases=2,dur=200", Policy: CATA, FastCores: 16,
+		Workload: "forkjoin:width=16,phases=2,dur=200", Policy: policy, FastCores: 16,
 		Arrivals: fmt.Sprintf("fixed:interval=150us,jobs=%d,cap=8", jobs),
 	}.withDefaults()
 	holder, err := openHolder(spec)
@@ -204,12 +204,16 @@ func openLiveHeap(t *testing.T, jobs int) uint64 {
 // count at the same cap leaves the live heap at the last completion
 // nearly where it was: the arrival schedule and the engine's queue of
 // pending arrivals are all that grow, by bytes per job. Holding every
-// finished job's program and tasks would cost about 11 KB per job.
+// finished job's program and tasks would cost about 11 KB per job, and
+// AMTHA's mapping of every task it ever placed about 770 B.
 func TestOpenHeapBoundedByJobsInSystem(t *testing.T) {
-	small, large := openLiveHeap(t, 200), openLiveHeap(t, 800)
-	t.Logf("live heap at the last completion: %d B with 200 arrivals, %d B with 800", small, large)
-	if perJob := (int64(large) - int64(small)) / 600; perJob > 1024 {
-		t.Errorf("live heap at the last completion grew from %d B (200 jobs) to %d B (800 jobs), %d B per added job; want under 1 KB",
-			small, large, perJob)
+	for _, policy := range append(AllPolicies(), ExtensionPolicies()...) {
+		small, large := openLiveHeap(t, policy, 200), openLiveHeap(t, policy, 800)
+		perJob := (int64(large) - int64(small)) / 600
+		t.Logf("%v: live heap at the last completion %d B with 200 arrivals, %d B with 800: %d B per added job", policy, small, large, perJob)
+		if perJob > 384 {
+			t.Errorf("%v: live heap at the last completion grew from %d B (200 jobs) to %d B (800 jobs), %d B per added job; want at most 384 B",
+				policy, small, large, perJob)
+		}
 	}
 }

@@ -318,11 +318,13 @@ func runWith(spec RunSpec, holder programHolder) (Measurement, error) {
 // budgetWatts computes the run's power-budget reference for the trace's
 // power counter track: the chip power with the budgeted number of cores
 // at the fast level in C0-active, the rest slow, plus the uncore term.
+// Each product is rounded before the sum, so no architecture fuses one
+// into a multiply-add.
 func budgetWatts(spec RunSpec, r *rig) float64 {
 	cfg := &r.mach.Cfg
-	return float64(spec.FastCores)*cfg.Power.CoreWatts(cfg.FastLevel, energy.C0Active) +
-		float64(spec.Cores-spec.FastCores)*cfg.Power.CoreWatts(cfg.SlowLevel, energy.C0Active) +
-		cfg.Power.UncoreWattsPerCore*float64(spec.Cores)
+	return float64(float64(spec.FastCores)*cfg.Power.CoreWatts(cfg.FastLevel, energy.C0Active)) +
+		float64(float64(spec.Cores-spec.FastCores)*cfg.Power.CoreWatts(cfg.SlowLevel, energy.C0Active)) +
+		float64(cfg.Power.UncoreWattsPerCore*float64(spec.Cores))
 }
 
 // schedStats extracts dispatch statistics from whichever scheduler ran.

@@ -36,24 +36,30 @@ const (
 )
 
 // amthaMapper holds the static assignment state: per-core accumulated
-// time estimates and the task-ID → core map. Closed-system programs are
-// mapped up front (premap); open-system arrivals are mapped on first
-// sight with the same rule.
+// time estimates and the task-ID → core assignment. Closed-system
+// programs are mapped up front (premap); open-system arrivals are mapped
+// on first sight with the same rule.
 type amthaMapper struct {
-	freq     []sim.Hertz // per-core static frequency
-	acc      []sim.Time  // per-core accumulated finish estimate
-	assigned map[int]int // task ID → core
-	tie      amthaTieBreak
-	cursor   int // rotation cursor for tieSpread
+	freq   []sim.Hertz // per-core static frequency
+	acc    []sim.Time  // per-core accumulated finish estimate
+	pre    []int       // premapped core, indexed by task ID
+	tie    amthaTieBreak
+	cursor int // rotation cursor for tieSpread
+
+	// The last first-sight mapping. The scheduler asks for a ready
+	// task's core when it enqueues the task and again when it wakes the
+	// core, with no other task in between, so an open run keeps only
+	// this one and its memory does not grow with the arrivals.
+	lastID, lastCore int
 }
 
 func newAmthaMapper(mach *machine.Machine, tie amthaTieBreak) *amthaMapper {
 	n := mach.Cores()
 	m := &amthaMapper{
-		freq:     make([]sim.Hertz, n),
-		acc:      make([]sim.Time, n),
-		assigned: map[int]int{},
-		tie:      tie,
+		freq:   make([]sim.Hertz, n),
+		acc:    make([]sim.Time, n),
+		tie:    tie,
+		lastID: -1,
 	}
 	for i := 0; i < n; i++ {
 		m.freq[i] = mach.Core(i).Freq()
@@ -68,6 +74,7 @@ func newAmthaMapper(mach *machine.Machine, tie amthaTieBreak) *amthaMapper {
 func (m *amthaMapper) premap(prog *program.Program) {
 	finish := map[tdg.Token]sim.Time{}
 	id := 0
+	m.pre = make([]int, 0, len(prog.Items))
 	for _, it := range prog.Items {
 		if it.Task == nil {
 			continue
@@ -79,7 +86,7 @@ func (m *amthaMapper) premap(prog *program.Program) {
 			}
 		}
 		core, fin := m.place(ready, it.Task.CPUCycles, it.Task.MemTime+it.Task.IOTime)
-		m.assigned[id] = core
+		m.pre = append(m.pre, core)
 		m.acc[core] = fin
 		for _, tok := range it.Task.Outs {
 			finish[tok] = fin
@@ -120,11 +127,14 @@ func (m *amthaMapper) place(ready sim.Time, cycles int64, fixed sim.Time) (int, 
 // precomputed range (open-system arrivals) are mapped on first sight
 // using their actual ready time.
 func (m *amthaMapper) CoreOf(t *tdg.Task) int {
-	if c, ok := m.assigned[t.ID]; ok {
-		return c
+	if t.ID >= 0 && t.ID < len(m.pre) {
+		return m.pre[t.ID]
+	}
+	if t.ID == m.lastID {
+		return m.lastCore
 	}
 	core, fin := m.place(t.ReadyAt, t.CPUCycles, t.MemTime+t.IOTime)
-	m.assigned[t.ID] = core
+	m.lastID, m.lastCore = t.ID, core
 	m.acc[core] = fin
 	return core
 }

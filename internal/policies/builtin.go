@@ -81,7 +81,7 @@ func init() {
 			Name:    "CATA+RSU",
 			Summary: "CATA with the hardware Runtime Support Unit",
 			Build: func(_ spec.Params, env *Env) error {
-				u := rsu.New(env.Eng, env.Mach)
+				u := rsu.New(env.Eng, env.Mach, rsm.TwoLevelCosts())
 				u.Init(env.FastCores)
 				env.Modules = append(env.Modules, u)
 				env.Cfg.Reconfig = rts.NewRSUReconfig(u, env.Mach, env.Cfg.Options.RSUOpCycles)
@@ -105,7 +105,7 @@ func init() {
 			Extension: true,
 			Summary:   "CATA+RSU that re-budgets cores halted in kernel IO",
 			Build: func(_ spec.Params, env *Env) error {
-				u := rsu.New(env.Eng, env.Mach)
+				u := rsu.New(env.Eng, env.Mach, rsm.TwoLevelCosts())
 				u.Init(env.FastCores)
 				rsu.NewHaltAware(u, env.Mach)
 				env.Modules = append(env.Modules, u)
@@ -129,10 +129,10 @@ func init() {
 			Build: func(_ spec.Params, env *Env) error {
 				// Same power envelope as `FastCores` fast cores: fast costs 2
 				// units, so the pool is 2x the fast-core budget.
-				ml := rsu.NewMultiLevel(env.Eng, env.Mach, rsu.ThreeLevelUnitCosts())
-				ml.Init(2 * env.FastCores)
-				env.Modules = append(env.Modules, ml)
-				env.Cfg.Reconfig = rts.NewRSUReconfig(ml, env.Mach, env.Cfg.Options.RSUOpCycles)
+				u := rsu.New(env.Eng, env.Mach, rsu.ThreeLevelUnitCosts())
+				u.Init(2 * env.FastCores)
+				env.Modules = append(env.Modules, u)
+				env.Cfg.Reconfig = rts.NewRSUReconfig(u, env.Mach, env.Cfg.Options.RSUOpCycles)
 				env.Cfg.NewScheduler = func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() }
 				return nil
 			},

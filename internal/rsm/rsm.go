@@ -4,10 +4,11 @@
 // runs (Critical / Non-Critical / No Task) and the power budget, and
 // drives DVFS reconfigurations through the cpufreq framework.
 //
-// All reconfiguration decisions execute under a runtime-level lock and the
-// cpufreq writes execute sequentially within it — the serialization the
-// paper identifies as CATA's scalability bottleneck (§V-C) and the RSU
-// removes.
+// The decisions are the acceleration allocator's (Alloc), which the
+// hardware RSU (internal/rsu) shares. The RSM runs each decision under a
+// runtime-level lock and performs its moves as sequential cpufreq writes
+// within it — the serialization the paper identifies as CATA's
+// scalability bottleneck (§V-C) and the RSU removes.
 package rsm
 
 import (
@@ -48,35 +49,19 @@ func (c CritState) String() string {
 
 // RSM is the software reconfiguration module.
 type RSM struct {
-	eng  *sim.Engine
-	mach *machine.Machine
-	fw   *cpufreq.Framework
-	lock *cpufreq.Lock
-
-	budget int
-	crit   []CritState
-	accel  []bool
-	nAccel int
-
-	// Budget accounting: denies counts TaskStart operations that ended
-	// without an acceleration (no budget and no victim), and
-	// accelCoreTime integrates nAccel over simulated time so budget
-	// utilization can be reported per run.
-	denies        int64
-	accelCoreTime sim.Time
-	accelMark     sim.Time
+	eng   *sim.Engine
+	mach  *machine.Machine
+	fw    *cpufreq.Framework
+	lock  *cpufreq.Lock
+	alloc *Alloc
 
 	// BookkeepingCycles is the table-update cost per operation, paid on
 	// the calling core inside the lock.
 	BookkeepingCycles int64
 
 	// Statistics for §V-C.
-	accels, decels int64
-	opLatency      stats.DurationSummary // TaskStart/TaskEnd entry→exit
-	opTimeTotal    sim.Time              // total time cores spent reconfiguring
-
-	// rec, when non-nil, receives grant/deny events with budget state.
-	rec probe.Recorder
+	opLatency   stats.DurationSummary // TaskStart/TaskEnd entry→exit
+	opTimeTotal sim.Time              // total time cores spent reconfiguring
 
 	// ops holds one operation record per calling core.
 	ops []op
@@ -87,13 +72,9 @@ type RSM struct {
 type opPhase int
 
 const (
-	startLocked  opPhase = iota // TaskStart: runtime lock granted → bookkeeping
-	startBooked                 // bookkeeping paid → accelerate, swap or deny
-	startSwapped                // victim's deceleration written → accelerate own core
-	endLocked                   // TaskEnd: runtime lock granted → bookkeeping
-	endBooked                   // bookkeeping paid → decelerate own core
-	endSlowed                   // own deceleration written → hand the budget on
-	opWritten                   // last cpufreq write returned → finish
+	opLocked  opPhase = iota // runtime lock granted → bookkeeping
+	opBooked                 // bookkeeping paid → decide, write the first move
+	opWritten                // a move's cpufreq write returned → write the next or finish
 )
 
 // op is one calling core's TaskStart or TaskEnd in flight. A core runs
@@ -102,11 +83,15 @@ const (
 // and an operation hands the lock, the core and the cpufreq framework no
 // closure.
 type op struct {
-	r     *RSM
-	core  int
-	crit  CritState // the criticality the operation installs
-	phase opPhase
-	start sim.Time
+	r        *RSM
+	core     int
+	end      bool // TaskEnd, else TaskStart
+	critical bool
+	phase    opPhase
+	start    sim.Time
+	// moves are the decision's moves not yet written. The runtime lock
+	// keeps every other decision out until the last is written.
+	moves []Move
 	// done is the runtime's continuation; nil when no operation is in
 	// flight.
 	done   func()
@@ -114,22 +99,23 @@ type op struct {
 }
 
 // New creates an RSM with the given power budget (maximum number of
-// simultaneously accelerated cores).
+// simultaneously accelerated cores) on a dual-rail machine: two
+// operating points, the slow one at level 0.
 func New(eng *sim.Engine, mach *machine.Machine, fw *cpufreq.Framework, budget int) *RSM {
-	if budget < 0 || budget > mach.Cores() {
-		panic(fmt.Sprintf("rsm: budget %d out of range [0,%d]", budget, mach.Cores()))
+	if mach.Cfg.Power.Levels() != 2 || mach.Cfg.SlowLevel != 0 {
+		panic(fmt.Sprintf("rsm: machine has %d levels, slow at %d; the RSM drives 2, slow at 0",
+			mach.Cfg.Power.Levels(), mach.Cfg.SlowLevel))
 	}
 	r := &RSM{
 		eng:               eng,
 		mach:              mach,
 		fw:                fw,
 		lock:              cpufreq.NewLock(eng),
-		budget:            budget,
-		crit:              make([]CritState, mach.Cores()),
-		accel:             make([]bool, mach.Cores()),
+		alloc:             NewAlloc(eng, mach.Cores(), TwoLevelCosts()),
 		BookkeepingCycles: 400,
 		ops:               make([]op, mach.Cores()),
 	}
+	r.alloc.SetBudget(budget)
 	for i := range r.ops {
 		o := &r.ops[i]
 		o.r, o.core, o.stepCb = r, i, o.step
@@ -139,42 +125,14 @@ func New(eng *sim.Engine, mach *machine.Machine, fw *cpufreq.Framework, budget i
 
 // SetRecorder attaches a flight recorder reporting acceleration grants
 // and denials together with the budget state at decision time.
-func (r *RSM) SetRecorder(rec probe.Recorder) { r.rec = rec }
+func (r *RSM) SetRecorder(rec probe.Recorder) { r.alloc.SetRecorder(rec) }
 
-// Budget returns the power budget.
-func (r *RSM) Budget() int { return r.budget }
-
-// Accelerated reports whether the RSM considers the core accelerated.
-func (r *RSM) Accelerated(core int) bool { return r.accel[core] }
-
-// AcceleratedCount returns how many cores are currently accelerated. The
-// invariant AcceleratedCount() <= Budget() holds at all times.
-func (r *RSM) AcceleratedCount() int { return r.nAccel }
-
-// Crit returns the criticality field for a core.
-func (r *RSM) Crit(core int) CritState { return r.crit[core] }
+// Alloc returns the module's allocation table: per-core criticality and
+// level, the budget and the move counts.
+func (r *RSM) Alloc() *Alloc { return r.alloc }
 
 // Lock exposes the runtime reconfiguration lock for contention analysis.
 func (r *RSM) Lock() *cpufreq.Lock { return r.lock }
-
-// Reconfigs returns the number of acceleration and deceleration
-// operations issued.
-func (r *RSM) Reconfigs() (accels, decels int64) { return r.accels, r.decels }
-
-// AccelCoreTime returns the accelerated core-time accumulated so far:
-// the integral of the accelerated-core count over simulated time.
-// Dividing by budget × makespan yields the power-budget utilization.
-func (r *RSM) AccelCoreTime() sim.Time {
-	return r.accelCoreTime + sim.Time(r.nAccel)*(r.eng.Now()-r.accelMark)
-}
-
-// noteAccelChange folds the elapsed interval at the current
-// accelerated-core count into the integral before nAccel changes.
-func (r *RSM) noteAccelChange() {
-	now := r.eng.Now()
-	r.accelCoreTime += sim.Time(r.nAccel) * (now - r.accelMark)
-	r.accelMark = now
-}
 
 // OpLatency summarizes the latency of TaskStart/TaskEnd operations
 // (lock wait + bookkeeping + cpufreq writes) — the paper's
@@ -190,15 +148,16 @@ func (r *RSM) OpTimeTotal() sim.Time { return r.opTimeTotal }
 // percentage of all core time, and the budget's grants, denials and
 // utilization.
 func (r *RSM) Harvest(st stats.Reconfig, makespan sim.Time) stats.Reconfig {
-	st.ReconfigOps = r.accels + r.decels
+	accels, decels, denials := r.alloc.Counts()
+	st.ReconfigOps = accels + decels
 	st.ReconfigLatencyAvg = r.opLatency.MeanTime()
 	st.ReconfigLatencyMax = r.opLatency.MaxTime()
 	st.LockWaitMax = r.lock.WaitTimes().MaxTime()
 	st.ReconfigOverheadPct = 100 * float64(r.opTimeTotal) / (float64(makespan) * float64(r.mach.Cores()))
-	st.AccelsGranted = r.accels
-	st.AccelsDenied = r.denies
-	if r.budget > 0 && makespan > 0 {
-		st.BudgetUtilization = float64(r.AccelCoreTime()) / (float64(makespan) * float64(r.budget))
+	st.AccelsGranted = accels
+	st.AccelsDenied = denials
+	if budget := r.alloc.Budget(); budget > 0 && makespan > 0 {
+		st.BudgetUtilization = float64(r.alloc.UnitTime()) / (float64(makespan) * float64(budget))
 	}
 	return st
 }
@@ -215,27 +174,23 @@ func (r *RSM) Harvest(st stats.Reconfig, makespan sim.Time) stats.Reconfig {
 // calling core's timeline; done fires when it completes and the task may
 // start executing.
 func (r *RSM) TaskStart(core int, critical bool, done func()) {
-	cs := NonCritical
-	if critical {
-		cs = Critical
-	}
-	r.begin(core, cs, startLocked, done)
+	r.begin(core, false, critical, done)
 }
 
 // TaskEnd runs the §III-A algorithm when a task finishes on core: the core
 // is decelerated and, if a critical task runs non-accelerated somewhere,
 // that core is accelerated with the freed budget.
 func (r *RSM) TaskEnd(core int, done func()) {
-	r.begin(core, NoTask, endLocked, done)
+	r.begin(core, true, false, done)
 }
 
 // begin starts core's operation: it queues on the runtime lock.
-func (r *RSM) begin(core int, cs CritState, phase opPhase, done func()) {
+func (r *RSM) begin(core int, end, critical bool, done func()) {
 	o := &r.ops[core]
 	if o.done != nil {
 		panic(fmt.Sprintf("rsm: core %d starts an operation with one in flight", core))
 	}
-	o.crit, o.phase, o.done = cs, phase, done
+	o.end, o.critical, o.phase, o.done = end, critical, opLocked, done
 	o.start = r.eng.Now()
 	r.lock.Acquire(o.stepCb)
 }
@@ -244,126 +199,38 @@ func (r *RSM) begin(core int, cs CritState, phase opPhase, done func()) {
 func (o *op) step() {
 	r := o.r
 	switch o.phase {
-	case startLocked, endLocked:
-		o.phase++
+	case opLocked:
+		o.phase = opBooked
 		r.mach.Core(o.core).Exec(r.BookkeepingCycles, 0, o.stepCb)
-	case startBooked:
-		r.crit[o.core] = o.crit
-		critical := o.crit == Critical
-		switch {
-		case r.nAccel < r.budget:
-			r.accelerate(o.core)
-			o.write(o.core, true, opWritten)
-		case critical:
-			victim := r.findVictim()
-			if victim >= 0 {
-				r.decelerate(victim)
-				o.write(victim, false, startSwapped)
-			} else {
-				// All accelerated cores run critical tasks: run slow.
-				r.deny(o.core, true)
-			}
-		default:
-			r.deny(o.core, false)
+	case opBooked:
+		if o.end {
+			o.moves = r.alloc.End(o.core)
+		} else {
+			o.moves = r.alloc.Start(o.core, o.critical)
 		}
-	case startSwapped:
-		r.accelerate(o.core)
-		o.write(o.core, true, opWritten)
-	case endBooked:
-		r.crit[o.core] = NoTask
-		if !r.accel[o.core] {
-			r.finishOp(o)
-			return
-		}
-		r.decelerate(o.core)
-		o.write(o.core, false, endSlowed)
-	case endSlowed:
-		next := r.findWaitingCritical()
-		if next < 0 {
-			r.finishOp(o)
-			return
-		}
-		r.accelerate(next)
-		o.write(next, true, opWritten)
+		o.phase = opWritten
+		o.writeNext()
 	case opWritten:
-		r.finishOp(o)
+		o.writeNext()
 	}
 }
 
-// write issues one cpufreq write from the operation's core, resuming at
-// phase then when it returns.
-func (o *op) write(target int, fast bool, then opPhase) {
-	level := o.r.mach.Cfg.SlowLevel
-	if fast {
-		level = o.r.mach.Cfg.FastLevel
+// writeNext commits the operation's next move and writes it from the
+// operation's core, or finishes the operation when none is left.
+func (o *op) writeNext() {
+	r := o.r
+	if len(o.moves) == 0 {
+		r.lock.Release()
+		lat := r.eng.Now() - o.start
+		r.opLatency.ObserveTime(lat)
+		r.opTimeTotal += lat
+		done := o.done
+		o.done = nil
+		done()
+		return
 	}
-	o.phase = then
-	o.r.fw.Write(o.core, target, level, o.stepCb)
-}
-
-// deny ends a TaskStart that leaves its core slow.
-func (r *RSM) deny(core int, critical bool) {
-	r.denies++
-	if r.rec != nil {
-		r.rec.AccelDeny(r.eng.Now(), core, critical, r.nAccel, r.budget)
-	}
-	r.finishOp(&r.ops[core])
-}
-
-// findVictim returns an accelerated core running a non-critical task, or
-// -1. Lowest index first: deterministic and matching a linear table scan.
-func (r *RSM) findVictim() int {
-	for i := range r.accel {
-		if r.accel[i] && r.crit[i] == NonCritical {
-			return i
-		}
-	}
-	return -1
-}
-
-// findWaitingCritical returns a non-accelerated core running a critical
-// task, or -1.
-func (r *RSM) findWaitingCritical() int {
-	for i := range r.accel {
-		if !r.accel[i] && r.crit[i] == Critical {
-			return i
-		}
-	}
-	return -1
-}
-
-func (r *RSM) accelerate(core int) {
-	if r.accel[core] {
-		panic(fmt.Sprintf("rsm: double accelerate of core %d", core))
-	}
-	r.noteAccelChange()
-	r.accel[core] = true
-	r.nAccel++
-	r.accels++
-	if r.nAccel > r.budget {
-		panic(fmt.Sprintf("rsm: budget exceeded: %d > %d", r.nAccel, r.budget))
-	}
-	if r.rec != nil {
-		r.rec.AccelGrant(r.eng.Now(), core, r.crit[core] == Critical, r.nAccel, r.budget)
-	}
-}
-
-func (r *RSM) decelerate(core int) {
-	if !r.accel[core] {
-		panic(fmt.Sprintf("rsm: decelerate of non-accelerated core %d", core))
-	}
-	r.noteAccelChange()
-	r.accel[core] = false
-	r.nAccel--
-	r.decels++
-}
-
-func (r *RSM) finishOp(o *op) {
-	r.lock.Release()
-	lat := r.eng.Now() - o.start
-	r.opLatency.ObserveTime(lat)
-	r.opTimeTotal += lat
-	done := o.done
-	o.done = nil
-	done()
+	m := o.moves[0]
+	o.moves = o.moves[1:]
+	r.alloc.Apply(m)
+	r.fw.Write(o.core, m.Core, m.Level, o.stepCb)
 }

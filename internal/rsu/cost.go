@@ -41,14 +41,15 @@ func CostOf(n, p int) Cost {
 		panic(fmt.Sprintf("rsu: CostOf(%d, %d) with non-positive argument", n, p))
 	}
 	bits := 3*n + ceilLog2(n) + 2*ceilLog2(p)
-	area := float64(bits)*areaPerBitUm2 + controlAreaUm2
+	// Products are rounded before the sums: no fused multiply-add.
+	area := float64(float64(bits)*areaPerBitUm2) + controlAreaUm2
 	return Cost{
 		Cores:       n,
 		PowerStates: p,
 		StorageBits: bits,
 		AreaUm2:     area,
 		DieFraction: area / refDieAreaUm2,
-		PowerWatts:  float64(bits)*powerPerBitW + controlPowerW,
+		PowerWatts:  float64(float64(bits)*powerPerBitW) + controlPowerW,
 	}
 }
 

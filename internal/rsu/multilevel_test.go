@@ -2,17 +2,15 @@ package rsu
 
 import (
 	"testing"
-	"testing/quick"
 
-	"cata/internal/energy"
 	"cata/internal/machine"
 	"cata/internal/sim"
-	"cata/internal/xrand"
 )
 
-func mlRig(t *testing.T, cores, unitBudget int) (*sim.Engine, *machine.Machine, *MultiLevel) {
+// threeLevelMachine returns a machine on the three-level model, fast at
+// the top level.
+func threeLevelMachine(t *testing.T, eng *sim.Engine, cores int) *machine.Machine {
 	t.Helper()
-	eng := sim.NewEngine()
 	cfg := machine.TableIConfig()
 	cfg.Cores = cores
 	cfg.Power = ThreeLevelModel()
@@ -22,7 +20,14 @@ func mlRig(t *testing.T, cores, unitBudget int) (*sim.Engine, *machine.Machine, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml := NewMultiLevel(eng, m, ThreeLevelUnitCosts())
+	return m
+}
+
+func mlRig(t *testing.T, cores, unitBudget int) (*sim.Engine, *machine.Machine, *RSU) {
+	t.Helper()
+	eng := sim.NewEngine()
+	m := threeLevelMachine(t, eng, cores)
+	ml := New(eng, m, ThreeLevelUnitCosts())
 	ml.Init(unitBudget)
 	return eng, m, ml
 }
@@ -43,17 +48,18 @@ func TestThreeLevelModel(t *testing.T) {
 
 func TestMLGrantsHighestAffordable(t *testing.T) {
 	_, m, ml := mlRig(t, 4, 3)
+	a := ml.Alloc()
 	ml.StartTask(0, false) // fast costs 2, affordable
-	if ml.Level(0) != 2 || ml.UnitsUsed() != 2 {
-		t.Fatalf("level=%d units=%d, want fast/2", ml.Level(0), ml.UnitsUsed())
+	if a.Level(0) != 2 || a.Used() != 2 {
+		t.Fatalf("level=%d units=%d, want fast/2", a.Level(0), a.Used())
 	}
 	ml.StartTask(1, false) // only 1 unit left: mid
-	if ml.Level(1) != 1 || ml.UnitsUsed() != 3 {
-		t.Fatalf("level=%d units=%d, want mid/3", ml.Level(1), ml.UnitsUsed())
+	if a.Level(1) != 1 || a.Used() != 3 {
+		t.Fatalf("level=%d units=%d, want mid/3", a.Level(1), a.Used())
 	}
 	ml.StartTask(2, false) // nothing left: slow
-	if ml.Level(2) != 0 {
-		t.Fatalf("level = %d, want slow", ml.Level(2))
+	if a.Level(2) != 0 {
+		t.Fatalf("level = %d, want slow", a.Level(2))
 	}
 	if m.DVFS.Target(0) != 2 || m.DVFS.Target(1) != 1 {
 		t.Fatal("DVFS targets not driven")
@@ -62,57 +68,56 @@ func TestMLGrantsHighestAffordable(t *testing.T) {
 
 func TestMLCriticalPreemptsStepwise(t *testing.T) {
 	_, _, ml := mlRig(t, 4, 2)
+	a := ml.Alloc()
 	ml.StartTask(0, false) // non-critical takes fast (2 units)
 	ml.StartTask(1, true)  // critical: shave core 0 down, claim what frees
-	if ml.Level(1) == 0 {
+	if a.Level(1) == 0 {
 		t.Fatal("critical task got nothing despite a non-critical victim")
 	}
-	if ml.UnitsUsed() > ml.UnitBudget() {
+	if a.Used() > a.Budget() {
 		t.Fatal("budget exceeded")
 	}
 	// Core 0 must have been downgraded below fast.
-	if ml.Level(0) == 2 {
+	if a.Level(0) == 2 {
 		t.Fatal("victim untouched")
 	}
 }
 
 func TestMLCriticalDoesNotPreemptCritical(t *testing.T) {
 	_, _, ml := mlRig(t, 4, 2)
+	a := ml.Alloc()
 	ml.StartTask(0, true) // critical at fast
 	ml.StartTask(1, true) // no victims: slow
-	if ml.Level(0) != 2 || ml.Level(1) != 0 {
-		t.Fatalf("levels = %d/%d", ml.Level(0), ml.Level(1))
+	if a.Level(0) != 2 || a.Level(1) != 0 {
+		t.Fatalf("levels = %d/%d", a.Level(0), a.Level(1))
 	}
 }
 
 func TestMLEndRebalancesToStarvedCritical(t *testing.T) {
 	_, _, ml := mlRig(t, 4, 2)
+	a := ml.Alloc()
 	ml.StartTask(0, false) // fast
 	ml.StartTask(1, true)  // preempts stepwise: gets something, core 0 shaved
 	ml.StartTask(2, true)  // whatever is left
 	ml.EndTask(0)          // non-critical leaves: criticals get upgraded
-	totalCrit := ml.unitCost[ml.Level(1)] + ml.unitCost[ml.Level(2)]
-	if totalCrit != ml.UnitBudget() {
+	costs := ThreeLevelUnitCosts()
+	if totalCrit := costs[a.Level(1)] + costs[a.Level(2)]; totalCrit != a.Budget() {
 		t.Fatalf("freed units not fully redistributed: levels %d/%d",
-			ml.Level(1), ml.Level(2))
+			a.Level(1), a.Level(2))
 	}
-	if ml.UnitsUsed() > ml.UnitBudget() {
+	if a.Used() > a.Budget() {
 		t.Fatal("budget exceeded")
 	}
 }
 
 func TestMLValidatesConstruction(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := machine.TableIConfig()
-	cfg.Cores = 2
-	cfg.Power = ThreeLevelModel()
-	cfg.SlowLevel = 0
-	cfg.FastLevel = 2
-	m := machine.MustNew(eng, cfg)
+	m := threeLevelMachine(t, eng, 2)
 	for _, costs := range [][]int{
 		{0, 1},    // wrong length
 		{1, 2, 3}, // nonzero baseline
 		{0, 2, 1}, // decreasing
+		{0, 1, 1}, // not strictly increasing
 	} {
 		func() {
 			defer func() {
@@ -120,51 +125,7 @@ func TestMLValidatesConstruction(t *testing.T) {
 					t.Errorf("costs %v accepted", costs)
 				}
 			}()
-			NewMultiLevel(eng, m, costs)
+			New(eng, m, costs)
 		}()
 	}
 }
-
-// Property: any interleaving of start/end ops keeps UnitsUsed within the
-// budget and consistent with the per-core levels.
-func TestMLUnitInvariantProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		cores := 2 + rng.Intn(8)
-		budget := rng.Intn(2*cores + 1)
-		eng := sim.NewEngine()
-		cfg := machine.TableIConfig()
-		cfg.Cores = cores
-		cfg.Power = ThreeLevelModel()
-		cfg.SlowLevel = 0
-		cfg.FastLevel = 2
-		m := machine.MustNew(eng, cfg)
-		ml := NewMultiLevel(eng, m, ThreeLevelUnitCosts())
-		ml.Init(budget)
-
-		running := make([]bool, cores)
-		for op := 0; op < 300; op++ {
-			core := rng.Intn(cores)
-			if running[core] {
-				ml.EndTask(core)
-				running[core] = false
-			} else {
-				ml.StartTask(core, rng.Bool(0.5))
-				running[core] = true
-			}
-			sum := 0
-			for i := 0; i < cores; i++ {
-				sum += ThreeLevelUnitCosts()[ml.Level(i)]
-			}
-			if sum != ml.UnitsUsed() || sum > budget {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-var _ = energy.Fast

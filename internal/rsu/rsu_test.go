@@ -21,27 +21,30 @@ func newRig(t *testing.T, cores, budget int) (*sim.Engine, *machine.Machine, *RS
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(eng, m)
+	r := New(eng, m, rsm.TwoLevelCosts())
 	r.Init(budget)
 	return eng, m, r
 }
+
+// accelerated reports whether the unit holds core above the base level.
+func accelerated(r *RSU, core int) bool { return r.Alloc().Level(core) > 0 }
 
 func TestInitEnableDisable(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := machine.TableIConfig()
 	cfg.Cores = 4
 	m := machine.MustNew(eng, cfg)
-	r := New(eng, m)
+	r := New(eng, m, rsm.TwoLevelCosts())
 	if r.Enabled() {
 		t.Fatal("RSU enabled before Init")
 	}
 	r.Init(2)
-	if !r.Enabled() || r.Budget() != 2 {
+	if !r.Enabled() || r.Alloc().Budget() != 2 {
 		t.Fatal("Init did not enable")
 	}
 	r.StartTask(0, true)
 	r.Disable()
-	if r.Enabled() || r.AcceleratedCount() != 0 {
+	if r.Enabled() || r.Alloc().Used() != 0 {
 		t.Fatal("Disable did not reset")
 	}
 	defer func() {
@@ -55,9 +58,6 @@ func TestInitEnableDisable(t *testing.T) {
 func TestStartTaskAcceleratesWithinBudget(t *testing.T) {
 	_, m, r := newRig(t, 4, 2)
 	r.StartTask(0, false)
-	if !r.Accelerated(0) {
-		t.Fatal("budget available but not accelerated")
-	}
 	if m.DVFS.Target(0) != energy.Fast {
 		t.Fatal("DVFS target not updated")
 	}
@@ -70,25 +70,22 @@ func TestCriticalPreemption(t *testing.T) {
 	_, m, r := newRig(t, 4, 1)
 	r.StartTask(0, false)
 	r.StartTask(1, true)
-	if r.Accelerated(0) || !r.Accelerated(1) {
-		t.Fatal("critical preemption failed")
-	}
 	if m.DVFS.Target(0) != energy.Slow || m.DVFS.Target(1) != energy.Fast {
 		t.Fatal("DVFS targets wrong")
 	}
 	// A third critical task finds only critical accelerated: no preemption.
 	r.StartTask(2, true)
-	if r.Accelerated(2) {
+	if m.DVFS.Target(1) != energy.Fast || m.DVFS.Target(2) != energy.Slow {
 		t.Fatal("critical task preempted a critical task")
 	}
 }
 
 func TestEndTaskRebalances(t *testing.T) {
-	_, _, r := newRig(t, 4, 1)
+	_, m, r := newRig(t, 4, 1)
 	r.StartTask(0, true)
 	r.StartTask(1, true) // waits non-accelerated
 	r.EndTask(0)
-	if r.Accelerated(0) || !r.Accelerated(1) {
+	if m.DVFS.Target(0) != energy.Slow || m.DVFS.Target(1) != energy.Fast {
 		t.Fatal("EndTask did not hand budget to waiting critical")
 	}
 	if r.ReadCritic(0) != rsm.NoTask {
@@ -105,11 +102,11 @@ func TestEndTaskNonCriticalWaiterNotBoosted(t *testing.T) {
 	r.StartTask(1, false) // non-critical waiter
 	r.EndTask(0)
 	// §III-A: freed budget goes only to non-accelerated *critical* tasks.
-	if r.Accelerated(1) {
+	if accelerated(r, 1) {
 		t.Fatal("non-critical waiter boosted on task end")
 	}
-	if r.AcceleratedCount() != 0 {
-		t.Fatalf("count = %d", r.AcceleratedCount())
+	if r.Alloc().Used() != 0 {
+		t.Fatalf("used = %d", r.Alloc().Used())
 	}
 }
 
@@ -118,7 +115,7 @@ func TestReset(t *testing.T) {
 	r.StartTask(0, true)
 	r.StartTask(1, false)
 	r.Reset()
-	if r.AcceleratedCount() != 0 {
+	if r.Alloc().Used() != 0 {
 		t.Fatal("Reset left accelerated cores")
 	}
 	for i := 0; i < 4; i++ {
@@ -138,11 +135,11 @@ func TestVirtualizationSaveRestore(t *testing.T) {
 	if saved != rsm.Critical {
 		t.Fatalf("saved = %v", saved)
 	}
-	if r.Accelerated(0) || r.ReadCritic(0) != rsm.NoTask {
+	if accelerated(r, 0) || r.ReadCritic(0) != rsm.NoTask {
 		t.Fatal("SaveContext did not release the core")
 	}
 	r.RestoreContext(0, saved)
-	if !r.Accelerated(0) || r.ReadCritic(0) != rsm.Critical {
+	if !accelerated(r, 0) || r.ReadCritic(0) != rsm.Critical {
 		t.Fatal("RestoreContext did not reinstate the task")
 	}
 	// Restoring an idle thread is a no-op.
@@ -207,62 +204,97 @@ func TestCostPanicsOnBadInput(t *testing.T) {
 	CostOf(0, 2)
 }
 
-// Property: under any interleaving of start/end/save/restore operations,
-// the accelerated count never exceeds the budget and matches the DVFS
-// committed-fast count.
+// TestRSUBudgetInvariantProperty: under any interleaving of start, end,
+// save and restore operations, for the paper's two-level costs, the
+// three-level extension's and a table whose steps cost more than one
+// unit, the unit holds no more than its budget, its units are the sum of
+// its cores' level costs, and every core's DVFS target is its level.
+// After every operation no critical core can step up with the free
+// units, so an end on a core at the base level moves nothing: the
+// invariant that lets the allocator skip the scan there.
 func TestRSUBudgetInvariantProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		cores := 2 + rng.Intn(8)
-		budget := rng.Intn(cores + 1)
-		_, m, r := func() (*sim.Engine, *machine.Machine, *RSU) {
-			eng := sim.NewEngine()
-			cfg := machine.TableIConfig()
-			cfg.Cores = cores
-			m := machine.MustNew(eng, cfg)
-			r := New(eng, m)
-			r.Init(budget)
-			return eng, m, r
-		}()
-		running := make([]bool, cores)
-		saved := make([]rsm.CritState, cores)
-		hasSaved := make([]bool, cores)
-		for op := 0; op < 200; op++ {
-			core := rng.Intn(cores)
-			switch rng.Intn(4) {
-			case 0:
-				if !running[core] {
-					r.StartTask(core, rng.Bool(0.5))
-					running[core] = true
+	for _, tc := range []struct {
+		name  string
+		costs []int
+		model func() *energy.Model
+	}{
+		{"two-level", rsm.TwoLevelCosts(), energy.Default},
+		{"three-level", ThreeLevelUnitCosts(), ThreeLevelModel},
+		{"uneven-steps", []int{0, 2, 3}, ThreeLevelModel},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			top := len(tc.costs) - 1
+			f := func(seed uint64) bool {
+				rng := xrand.New(seed)
+				cores := 2 + rng.Intn(8)
+				eng := sim.NewEngine()
+				cfg := machine.TableIConfig()
+				cfg.Cores = cores
+				cfg.Power = tc.model()
+				cfg.SlowLevel, cfg.FastLevel = 0, energy.Level(top)
+				m := machine.MustNew(eng, cfg)
+				r := New(eng, m, tc.costs)
+				r.Init(rng.Intn(cores*tc.costs[top] + 1))
+				a := r.Alloc()
+
+				running := make([]bool, cores)
+				saved := make([]rsm.CritState, cores)
+				hasSaved := make([]bool, cores)
+				for op := 0; op < 200; op++ {
+					core := rng.Intn(cores)
+					up, down, _ := a.Counts()
+					atBase := a.Level(core) == 0
+					ended := false
+					switch rng.Intn(4) {
+					case 0:
+						if !running[core] {
+							r.StartTask(core, rng.Bool(0.5))
+							running[core] = true
+						}
+					case 1:
+						if running[core] {
+							r.EndTask(core)
+							running[core], ended = false, true
+						}
+					case 2:
+						if running[core] && !hasSaved[core] {
+							saved[core] = r.SaveContext(core)
+							running[core], hasSaved[core], ended = false, true, true
+						}
+					case 3:
+						if hasSaved[core] && !running[core] {
+							r.RestoreContext(core, saved[core])
+							running[core], hasSaved[core] = true, false
+						}
+					}
+					if u, d, _ := a.Counts(); ended && atBase && (u != up || d != down) {
+						t.Logf("seed %d: an end at the base level moved %d cores", seed, u-up+d-down)
+						return false
+					}
+					sum := 0
+					for i := 0; i < cores; i++ {
+						l := a.Level(i)
+						sum += tc.costs[l]
+						if m.DVFS.Target(i) != l {
+							t.Logf("seed %d: core %d at level %d, DVFS target %d", seed, i, l, m.DVFS.Target(i))
+							return false
+						}
+						free := a.Budget() - a.Used()
+						if a.Crit(i) == rsm.Critical && int(l) < top && free >= tc.costs[l+1]-tc.costs[l] {
+							t.Logf("seed %d: critical core %d at level %d could step up with %d free units", seed, i, l, free)
+							return false
+						}
+					}
+					if sum != a.Used() || a.Used() > a.Budget() {
+						t.Logf("seed %d: %d units held, levels cost %d, budget %d", seed, a.Used(), sum, a.Budget())
+						return false
+					}
 				}
-			case 1:
-				if running[core] {
-					r.EndTask(core)
-					running[core] = false
-				}
-			case 2:
-				if running[core] && !hasSaved[core] {
-					saved[core] = r.SaveContext(core)
-					hasSaved[core] = true
-					running[core] = false
-				}
-			case 3:
-				if hasSaved[core] && !running[core] {
-					r.RestoreContext(core, saved[core])
-					hasSaved[core] = false
-					running[core] = saved[core] != rsm.NoTask
-				}
+				return true
 			}
-			if r.AcceleratedCount() > budget {
-				return false
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
 			}
-			if r.AcceleratedCount() != m.DVFS.CommittedFast() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+		})
 	}
 }

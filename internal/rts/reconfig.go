@@ -3,6 +3,7 @@ package rts
 import (
 	"cata/internal/machine"
 	"cata/internal/rsm"
+	"cata/internal/rsu"
 	"cata/internal/tdg"
 )
 
@@ -48,20 +49,12 @@ func (r RSMReconfig) TaskEnd(core int, _ *tdg.Task, done func()) {
 	r.RSM.TaskEnd(core, done)
 }
 
-// TaskUnit is the hardware-side contract of an RSU-like unit: task
-// start/end notifications that reconfigure DVFS in hardware. Both the
-// paper's two-level RSU and the multi-level extension satisfy it.
-type TaskUnit interface {
-	StartTask(core int, critical bool)
-	EndTask(core int)
-}
-
-// RSUReconfig drives a hardware task unit: the runtime executes one
-// rsu_start_task/rsu_end_task instruction (a few cycles on the calling
-// core); decision and DVFS programming happen in hardware. Build it with
-// NewRSUReconfig.
+// RSUReconfig drives the hardware Runtime Support Unit: the runtime
+// executes one rsu_start_task/rsu_end_task instruction (a few cycles on
+// the calling core); decision and DVFS programming happen in hardware.
+// Build it with NewRSUReconfig.
 type RSUReconfig struct {
-	unit     TaskUnit
+	unit     *rsu.RSU
 	mach     *machine.Machine
 	opCycles int64
 	ops      []rsuOp // one per calling core
@@ -81,7 +74,7 @@ type rsuOp struct {
 
 // NewRSUReconfig returns the mechanism driving unit on the machine's
 // cores, each instruction costing opCycles on the calling core.
-func NewRSUReconfig(unit TaskUnit, mach *machine.Machine, opCycles int64) *RSUReconfig {
+func NewRSUReconfig(unit *rsu.RSU, mach *machine.Machine, opCycles int64) *RSUReconfig {
 	r := &RSUReconfig{unit: unit, mach: mach, opCycles: opCycles, ops: make([]rsuOp, mach.Cores())}
 	for i := range r.ops {
 		o := &r.ops[i]

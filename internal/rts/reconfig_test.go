@@ -64,7 +64,7 @@ func TestReconfigZeroAllocs(t *testing.T) {
 			rc.TaskEnd(0, plain, doneCb)
 			eng.Run()
 		})
-		if accels, _ := rc.RSM.Reconfigs(); accels == 0 || m.DVFS.Transitions() == 0 {
+		if accels, _, _ := rc.RSM.Alloc().Counts(); accels == 0 || m.DVFS.Transitions() == 0 {
 			t.Fatalf("no reconfiguration happened: %d accelerations, %d transitions", accels, m.DVFS.Transitions())
 		}
 	})
@@ -73,7 +73,7 @@ func TestReconfigZeroAllocs(t *testing.T) {
 		eng, m := newMachine(t, 4)
 		keepBusy(m)
 		eng.Run()
-		unit := rsu.New(eng, m)
+		unit := rsu.New(eng, m, rsm.TwoLevelCosts())
 		unit.Init(1)
 		rc := NewRSUReconfig(unit, m, 4)
 		zeroAllocs(t, "RSUReconfig", func() {
@@ -84,7 +84,7 @@ func TestReconfigZeroAllocs(t *testing.T) {
 			rc.TaskEnd(0, plain, doneCb)
 			eng.Run()
 		})
-		if accels, _ := unit.Reconfigs(); accels == 0 {
+		if accels, _, _ := unit.Alloc().Counts(); accels == 0 {
 			t.Fatal("the RSU never accelerated")
 		}
 	})

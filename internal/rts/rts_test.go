@@ -13,6 +13,7 @@ import (
 	"cata/internal/sim"
 	"cata/internal/tdg"
 	"cata/internal/turbo"
+	"cata/internal/workloads"
 	"cata/internal/xrand"
 )
 
@@ -226,11 +227,11 @@ func TestCATARSMAcceleratesAndRespectsBudget(t *testing.T) {
 	if res.TasksRun != 24 {
 		t.Fatalf("TasksRun = %d", res.TasksRun)
 	}
-	accels, decels := module.Reconfigs()
+	accels, decels, _ := module.Alloc().Counts()
 	if accels == 0 || decels == 0 {
 		t.Fatalf("no reconfigurations happened: %d/%d", accels, decels)
 	}
-	if module.AcceleratedCount() > module.Budget() {
+	if module.Alloc().Used() > module.Alloc().Budget() {
 		t.Fatal("budget violated at end")
 	}
 	if module.OpLatency().Count() != 2*24 {
@@ -290,7 +291,7 @@ func TestCATAFasterThanFIFOOnImbalance(t *testing.T) {
 
 func TestRSUReconfigWorks(t *testing.T) {
 	eng, m := newMachine(t, 4)
-	unit := rsu.New(eng, m)
+	unit := rsu.New(eng, m, rsm.TwoLevelCosts())
 	unit.Init(2)
 	cfg := Config{
 		Machine: m,
@@ -316,8 +317,7 @@ func TestRSUReconfigWorks(t *testing.T) {
 	if unit.Ops() != 2*24 {
 		t.Fatalf("RSU ops = %d, want 48", unit.Ops())
 	}
-	accels, _ := unit.Reconfigs()
-	if accels == 0 {
+	if accels, _, _ := unit.Alloc().Counts(); accels == 0 {
 		t.Fatal("RSU never accelerated")
 	}
 }
@@ -348,7 +348,7 @@ func TestRSUCheaperThanRSM(t *testing.T) {
 	}
 
 	engH, mH := newMachine(t, 4)
-	unit := rsu.New(engH, mH)
+	unit := rsu.New(engH, mH, rsm.TwoLevelCosts())
 	unit.Init(2)
 	cfgH := Config{
 		Machine:      mH,
@@ -368,6 +368,68 @@ func TestRSUCheaperThanRSM(t *testing.T) {
 	}
 	if resH.Makespan > resS.Makespan {
 		t.Fatalf("RSU (%v) slower than RSM (%v)", resH.Makespan, resS.Makespan)
+	}
+}
+
+// TestRSUIsRSMWithoutSoftwarePath: §III-B's argument as an identity.
+// The RSU runs the RSM's algorithm without the software path, so CATA
+// with every software cost at zero (no cpufreq path, no bookkeeping)
+// matches CATA+RSU with a free instruction: the same makespan, the same
+// moves and denials, the same DVFS transitions, on every built-in
+// workload.
+func TestRSUIsRSMWithoutSoftwarePath(t *testing.T) {
+	type outcome struct {
+		makespan                sim.Time
+		up, down, denied, trans int64
+	}
+	run := func(p *program.Program, fast int, hardware bool) outcome {
+		eng, m := newMachine(t, 16)
+		cfg := Config{
+			Machine:      m,
+			Program:      p,
+			NewScheduler: func(sched.CoreInfo) sched.Scheduler { return sched.NewCritFirst() },
+			Estimator:    sched.StaticAnnotations{},
+			Options:      DefaultOptions(),
+		}
+		var alloc *rsm.Alloc
+		if hardware {
+			unit := rsu.New(eng, m, rsm.TwoLevelCosts())
+			unit.Init(fast)
+			alloc, cfg.Reconfig = unit.Alloc(), NewRSUReconfig(unit, m, 0)
+		} else {
+			module := rsm.New(eng, m, cpufreq.New(eng, m, cpufreq.Costs{}), fast)
+			module.BookkeepingCycles = 0
+			alloc, cfg.Reconfig = module.Alloc(), RSMReconfig{RSM: module}
+		}
+		res := mustRun(t, eng, cfg)
+		o := outcome{makespan: res.Makespan, trans: m.DVFS.Transitions()}
+		o.up, o.down, o.denied = alloc.Counts()
+		return o
+	}
+	denied := false
+	for _, e := range workloads.List() {
+		if e.FileBacked {
+			continue
+		}
+		for _, seed := range []uint64{7, 42, 1337} {
+			for _, fast := range []int{4, 8, 12} {
+				build := func() *program.Program {
+					p, err := workloads.Build(e.Name, seed, 0.2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return p
+				}
+				sw, hw := run(build(), fast, false), run(build(), fast, true)
+				if sw != hw {
+					t.Errorf("%s seed %d, %d fast: zero-cost RSM %+v, free RSU %+v", e.Name, seed, fast, sw, hw)
+				}
+				denied = denied || hw.denied > 0
+			}
+		}
+	}
+	if !denied {
+		t.Fatal("no run denied an acceleration")
 	}
 }
 

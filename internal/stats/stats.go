@@ -33,7 +33,7 @@ func (s *Summary) Observe(v float64) {
 	}
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
+	s.sumSq += float64(v * v) // rounded: never fused into a multiply-add
 }
 
 // Count returns the number of observations.
@@ -72,7 +72,7 @@ func (s *Summary) StdDev() float64 {
 		return 0
 	}
 	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
+	v := s.sumSq/float64(s.n) - float64(m*m)
 	if v < 0 {
 		v = 0 // numerical noise
 	}

@@ -149,7 +149,7 @@ func scaled(n int, scale float64) int {
 	if scale <= 0 || scale > 1 {
 		scale = 1
 	}
-	v := int(float64(n)*scale + 0.5)
+	v := int(float64(float64(n)*scale) + 0.5) // rounded product: no fused multiply-add
 	if v < 1 {
 		v = 1
 	}

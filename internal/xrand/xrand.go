@@ -97,7 +97,7 @@ func (s *Source) Int64n(n int64) int64 {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+	return float64(float64(s.Uint64()>>11) / (1 << 53)) // rounded: callers never fuse it
 }
 
 // Bool returns true with probability p.
@@ -118,7 +118,7 @@ func (s *Source) Perm(n int) []int {
 
 // Uniform returns a uniform float64 in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
+	return lo + float64((hi-lo)*s.Float64())
 }
 
 // Normal returns a normally distributed float64 with the given mean and
@@ -128,7 +128,7 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 	u1 := 1 - s.Float64()
 	u2 := s.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
+	return mean + float64(stddev*z)
 }
 
 // LogNormal returns exp(N(mu, sigma)). Workload task durations use this:
@@ -144,7 +144,7 @@ func (s *Source) LogNormalMean(mean, sigma float64) float64 {
 	if mean <= 0 {
 		panic("xrand: LogNormalMean with mean <= 0")
 	}
-	mu := math.Log(mean) - sigma*sigma/2
+	mu := math.Log(mean) - float64(sigma*sigma/2)
 	return s.LogNormal(mu, sigma)
 }
 
