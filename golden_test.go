@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"cata/internal/exp"
@@ -43,10 +44,12 @@ type goldenFile struct {
 	Cells     []goldenCell `json:"cells"`
 }
 
-// goldenCell holds the deterministic outputs of one workload run. Integer
-// fields compare exactly; energy values are %.6g strings — identical on
-// any one platform, and coarse enough to absorb sub-ulp float variance
-// across architectures.
+// goldenCell holds the deterministic outputs of one workload run. Every
+// field compares exactly: energy values are the shortest decimal strings
+// that round-trip to their float64 bits. The model rounds every float
+// product explicitly, so no architecture fuses one into a multiply-add
+// (make fma-check), and TestPolicyChecksums' float pins check those bits
+// on every architecture CI runs.
 type goldenCell struct {
 	Workload      string `json:"workload"`
 	MakespanPs    int64  `json:"makespan_ps"`
@@ -91,8 +94,8 @@ func buildGolden(t *testing.T, policy exp.Policy) goldenFile {
 			StaticBinding: m.StaticBinding,
 			Transitions:   m.Transitions,
 			ReconfigOps:   m.ReconfigOps,
-			Joules:        fmt.Sprintf("%.6g", m.Joules),
-			EDP:           fmt.Sprintf("%.6g", m.EDP),
+			Joules:        strconv.FormatFloat(m.Joules, 'g', -1, 64),
+			EDP:           strconv.FormatFloat(m.EDP, 'g', -1, 64),
 		})
 	}
 	return g
