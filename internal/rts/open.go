@@ -63,7 +63,10 @@ type openState struct {
 // start (the whole sub-DAG enters the TDG; dependences pace execution);
 // a barrier item ends the phase, and the next phase starts when every
 // in-flight task of this job has completed. A completed job's record
-// is reused, maps and lists emptied, by a later admission.
+// is reused, maps and lists emptied, by a later admission. Its task
+// array, token array and edge store are allocated at admission and
+// dropped at completion, never handed to the next job: a store shared
+// by jobs would chain every finished job to a live one.
 type openJob struct {
 	slot    int // index in openState.jobs
 	id      int
@@ -78,6 +81,10 @@ type openJob struct {
 	// toks is the unused rest of the job's one backing array, from which
 	// each task's remapped Ins and Outs are cut.
 	toks []tdg.Token
+	// tasks is the unused rest of the job's task array, one entry per
+	// program task; store holds the tasks' edge lists and data records.
+	tasks []tdg.Task
+	store tdg.Store
 }
 
 // Inject schedules the arrival of job jobID at the given simulated
@@ -153,14 +160,11 @@ func (o *openState) admit(jobID int, prog *program.Program, now sim.Time) *openJ
 		j = &openJob{slot: len(o.jobs), tokens: make(map[tdg.Token]tdg.Token)}
 		o.jobs = append(o.jobs, j)
 	}
-	n := 0
-	for _, it := range prog.Items {
-		if it.Task != nil {
-			n += len(it.Task.Ins) + len(it.Task.Outs)
-		}
-	}
+	tasks, ins, outs := size(prog)
 	j.id, j.prog, j.next, j.live, j.arrived = jobID, prog, 0, 0, now
-	j.toks = make([]tdg.Token, n)
+	j.toks = make([]tdg.Token, ins+outs)
+	j.tasks = make([]tdg.Task, tasks)
+	j.store.Reset(ins, outs)
 	return j
 }
 
@@ -190,7 +194,9 @@ func (r *Runtime) openAdvance(j *openJob) {
 // charges no creator cycles: arrivals are generated off-machine by the
 // traffic source, not by a simulated master thread.
 func (r *Runtime) openSubmit(j *openJob, spec *program.TaskSpec) {
-	t := &tdg.Task{
+	t := &j.tasks[0]
+	j.tasks = j.tasks[1:]
+	*t = tdg.Task{
 		ID:          r.nextTaskID,
 		Type:        spec.Type,
 		CPUCycles:   spec.CPUCycles,
@@ -207,7 +213,7 @@ func (r *Runtime) openSubmit(j *openJob, spec *program.TaskSpec) {
 		r.retained = append(r.retained, t)
 	}
 	j.live++
-	visited := r.graph.Submit(t) // may fire onTaskReady synchronously
+	visited := r.graph.SubmitIn(&j.store, t) // may fire onTaskReady synchronously
 	r.submitVisited += int64(visited)
 }
 
@@ -257,7 +263,8 @@ func (r *Runtime) openJobDone(j *openJob) {
 	}
 	clear(j.tokens)
 	j.fresh = j.fresh[:0]
-	j.prog, j.toks = nil, nil
+	j.prog, j.toks, j.tasks = nil, nil, nil
+	j.store = tdg.Store{}
 	o.free = append(o.free, j.slot)
 }
 

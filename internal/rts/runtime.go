@@ -76,6 +76,11 @@ type Runtime struct {
 	sampleCb func()          // re-armed ready-queue sampler continuation
 
 	graph *tdg.Graph
+	// tasks is a closed run's task array, one per program task, indexed
+	// by task ID; store holds their edge lists. Open runs keep both per
+	// job instead.
+	tasks []tdg.Task
+	store tdg.Store
 	// idle indexes the cores currently in the runtime idle set; critRunning
 	// indexes the cores currently running a critical task. Together they
 	// replace the linear idle[]/running[] scans on the wake and go-idle
@@ -162,6 +167,13 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		// is permanently done.
 		r.creatorDone = true
 		r.open = &openState{cfg: *cfg.Open}
+	} else {
+		tasks, ins, outs := size(cfg.Program)
+		r.tasks = make([]tdg.Task, tasks)
+		r.store.Reset(ins, outs)
+		if r.opts.RetainTasks {
+			r.retained = make([]*tdg.Task, 0, tasks)
+		}
 	}
 	r.percore = make([]coreRun, cfg.Machine.Cores())
 	for i := range r.percore {
@@ -330,7 +342,8 @@ func (r *Runtime) creatorStep() {
 		return
 	}
 	spec := it.Task
-	t := &tdg.Task{
+	t := &r.tasks[r.nextTaskID]
+	*t = tdg.Task{
 		ID:          r.nextTaskID,
 		Type:        spec.Type,
 		CPUCycles:   spec.CPUCycles,
@@ -345,10 +358,24 @@ func (r *Runtime) creatorStep() {
 	if r.opts.RetainTasks {
 		r.retained = append(r.retained, t)
 	}
-	visited := r.graph.Submit(t) // may fire onTaskReady synchronously
+	visited := r.graph.SubmitIn(&r.store, t) // may fire onTaskReady synchronously
 	r.submitVisited += int64(visited)
 	cost := r.opts.CreateCycles + r.est.SubmitCostCycles(visited)
 	r.mach.Core(0).Exec(cost, 0, r.percore[0].workerCb)
+}
+
+// size returns a program's task count and the number of tokens its
+// tasks' Ins and Outs hold in all, which size a run's or a job's task
+// array and edge store.
+func size(p *program.Program) (tasks, ins, outs int) {
+	for _, it := range p.Items {
+		if it.Task != nil {
+			tasks++
+			ins += len(it.Task.Ins)
+			outs += len(it.Task.Outs)
+		}
+	}
+	return tasks, ins, outs
 }
 
 // onTaskReady is the graph callback: estimate criticality, enqueue, and

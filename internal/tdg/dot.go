@@ -38,8 +38,8 @@ func WriteDOT(w io.Writer, tasks []*Task) error {
 		}
 	}
 	for _, t := range sorted {
-		for _, s := range t.succs {
-			if _, err := fmt.Fprintf(w, "  t%d -> t%d;\n", t.ID, s.ID); err != nil {
+		for l := t.succs; l != nil; l = l.next {
+			if _, err := fmt.Fprintf(w, "  t%d -> t%d;\n", t.ID, l.task.ID); err != nil {
 				return err
 			}
 		}

@@ -29,11 +29,10 @@ import "fmt"
 type Graph struct {
 	onReady func(*Task)
 
-	writers map[Token]*Task
-	readers map[Token][]*Task
-	// spare holds the emptied reader lists of forgotten data, reused by
-	// the next data the graph first sees.
-	spare [][]*Task
+	// data holds each datum's last writer and readers since.
+	data map[Token]*datum
+	// store holds the edge lists of tasks submitted with Submit.
+	store Store
 
 	submitted int
 	completed int
@@ -48,6 +47,10 @@ type Graph struct {
 	// reusable raise-walk worklist.
 	epoch uint64
 	stack []*Task
+	// ds and preds are SubmitIn's reusable scratch: the submitted task's
+	// data, looked up once, and its resolved predecessors.
+	ds    []*datum
+	preds []*Task
 }
 
 // New returns an empty graph. onReady is invoked (synchronously, in
@@ -55,8 +58,7 @@ type Graph struct {
 func New(onReady func(*Task)) *Graph {
 	return &Graph{
 		onReady: onReady,
-		writers: make(map[Token]*Task),
-		readers: make(map[Token][]*Task),
+		data:    make(map[Token]*datum),
 	}
 }
 
@@ -78,39 +80,53 @@ func (g *Graph) AllDone() bool { return g.submitted == g.completed }
 // on. The count reflects the memoized walk: completed suffixes and
 // already-frontier nodes are not re-visited. If the task has no
 // unresolved dependences it becomes Ready immediately and onReady fires
-// before Submit returns.
-func (g *Graph) Submit(t *Task) (visited int) {
+// before Submit returns. The task's edge lists go to the graph's own
+// store.
+func (g *Graph) Submit(t *Task) (visited int) { return g.SubmitIn(&g.store, t) }
+
+// SubmitIn is Submit with the task's edge lists, and the records of
+// data it is first to access, kept in s. Every task accessing a datum
+// should be submitted into one store (see Store).
+func (g *Graph) SubmitIn(s *Store, t *Task) (visited int) {
 	if t.state != Waiting || t.nwait != 0 || len(t.preds) > 0 {
 		panic(fmt.Sprintf("tdg: resubmission of %v", t))
 	}
 	g.submitted++
 
-	// Resolve dependences. A predecessor may appear through several
-	// data; dedupe (epoch-stamped marks, no per-submit allocation) so
-	// nwait counts distinct tasks.
+	// Look each datum up once, then resolve dependences. A predecessor
+	// may appear through several data; dedupe (epoch-stamped marks, no
+	// per-submit allocation) so nwait counts distinct tasks.
+	ds := g.ds[:0]
+	for _, tok := range t.Ins {
+		ds = append(ds, g.datum(s, tok))
+	}
+	for _, tok := range t.Outs {
+		ds = append(ds, g.datum(s, tok))
+	}
+	ins, outs := ds[:len(t.Ins)], ds[len(t.Ins):]
 	g.epoch++
-	for _, d := range t.Ins {
-		g.addEdge(t, g.writers[d])
+	preds := g.preds[:0]
+	for _, d := range ins {
+		preds = g.addEdge(s, preds, t, d.writer)
 	}
-	for _, d := range t.Outs {
-		g.addEdge(t, g.writers[d])
-		for _, r := range g.readers[d] {
-			g.addEdge(t, r)
+	for _, d := range outs {
+		preds = g.addEdge(s, preds, t, d.writer)
+		for l := d.readers; l != nil; l = l.next {
+			preds = g.addEdge(s, preds, t, l.task)
 		}
 	}
+	t.preds = s.keepPreds(preds)
+	clear(preds)
+	g.preds = preds[:0]
 	// Register accesses: readers accumulate until the next writer.
-	for _, d := range t.Ins {
-		rs := g.readers[d]
-		if cap(rs) == 0 && len(g.spare) > 0 {
-			rs = g.spare[len(g.spare)-1]
-			g.spare = g.spare[:len(g.spare)-1]
-		}
-		g.readers[d] = append(rs, t)
+	for _, d := range ins {
+		d.addReader(s, t)
 	}
-	for _, d := range t.Outs {
-		g.writers[d] = t
-		g.readers[d] = g.readers[d][:0]
+	for _, d := range outs {
+		d.write(s, t)
 	}
+	clear(ds)
+	g.ds = ds[:0]
 
 	// The new task is a leaf: BottomLevel 0. Its predecessors' bottom
 	// levels may grow; propagate upward.
@@ -124,16 +140,32 @@ func (g *Graph) Submit(t *Task) (visited int) {
 	return visited
 }
 
+// datum returns tok's record, creating it in s on first sight.
+func (g *Graph) datum(s *Store, tok Token) *datum {
+	d := g.data[tok]
+	if d == nil {
+		d = s.datum()
+		g.data[tok] = d
+	}
+	return d
+}
+
 // addEdge records a dependence of t on pred, deduplicating via the
-// current submission epoch.
-func (g *Graph) addEdge(t, pred *Task) {
+// current submission epoch, and returns preds with pred appended.
+func (g *Graph) addEdge(s *Store, preds []*Task, t, pred *Task) []*Task {
 	if pred == nil || pred == t || pred.state == Done || pred.mark == g.epoch {
-		return
+		return preds
 	}
 	pred.mark = g.epoch
-	t.preds = append(t.preds, pred)
-	pred.succs = append(pred.succs, t)
+	l := s.link(t)
+	if pred.lastSucc == nil {
+		pred.succs = l
+	} else {
+		pred.lastSucc.next = l
+	}
+	pred.lastSucc = l
 	t.nwait++
+	return append(preds, pred)
 }
 
 // raiseBL propagates a bottom-level increase from t to its ancestors,
@@ -206,21 +238,19 @@ func (g *Graph) decBL(v int64) {
 // a live task still accesses would lose that task's dependences, so it
 // panics.
 func (g *Graph) Forget(tok Token) {
-	if w := g.writers[tok]; w != nil && w.state != Done {
+	d := g.data[tok]
+	if d == nil {
+		return
+	}
+	if w := d.writer; w != nil && w.state != Done {
 		panic(fmt.Sprintf("tdg: Forget of datum %d written by %v", tok, w))
 	}
-	rs := g.readers[tok]
-	for _, r := range rs {
-		if r.state != Done {
-			panic(fmt.Sprintf("tdg: Forget of datum %d read by %v", tok, r))
+	for l := d.readers; l != nil; l = l.next {
+		if l.task.state != Done {
+			panic(fmt.Sprintf("tdg: Forget of datum %d read by %v", tok, l.task))
 		}
 	}
-	delete(g.writers, tok)
-	delete(g.readers, tok)
-	if cap(rs) > 0 {
-		clear(rs[:cap(rs)]) // a writer truncates the list but leaves its old readers behind len
-		g.spare = append(g.spare, rs[:0])
-	}
+	delete(g.data, tok)
 }
 
 // MaxLiveBL returns the largest bottom level among live tasks (0 when
@@ -255,7 +285,8 @@ func (g *Graph) Complete(t *Task) int {
 	g.completed++
 	g.decBL(t.BottomLevel)
 	released := 0
-	for _, s := range t.succs {
+	for l := t.succs; l != nil; l = l.next {
+		s := l.task
 		s.nwait--
 		if s.nwait == 0 {
 			released++
@@ -285,8 +316,8 @@ func CheckAcyclic(tasks []*Task) {
 			return
 		}
 		color[t] = grey
-		for _, s := range t.succs {
-			visit(s)
+		for l := t.succs; l != nil; l = l.next {
+			visit(l.task)
 		}
 		color[t] = black
 	}

@@ -266,7 +266,7 @@ func TestBottomLevelMatchesRecompute(t *testing.T) {
 					return v
 				}
 				var m int64
-				for _, s := range n.succs {
+				for _, s := range n.Succs() {
 					if v := bl(s) + 1; v > m {
 						m = v
 					}
@@ -486,8 +486,8 @@ func TestBottomLevelInvariants(t *testing.T) {
 }
 
 // TestForget: a forgotten datum's next access starts fresh, with no
-// dependence on the tasks that accessed it before; its emptied reader
-// list is reused; forgetting a datum a live task accesses panics.
+// dependence on the tasks that accessed it before, and the graph keeps
+// no record of it; forgetting a datum a live task accesses panics.
 func TestForget(t *testing.T) {
 	g, ready := collectReady()
 	w := mkTask(0, nil, []Token{1})
@@ -508,16 +508,10 @@ func TestForget(t *testing.T) {
 	runAll(g, ready)
 	g.Forget(1)
 	g.Forget(1) // idempotent
-	if len(g.writers) != 0 || len(g.readers) != 0 || len(g.spare) != 1 {
-		t.Fatalf("after Forget: %d writers, %d readers, %d spare lists", len(g.writers), len(g.readers), len(g.spare))
+	if len(g.data) != 0 {
+		t.Fatalf("after Forget: %d data records", len(g.data))
 	}
-	for _, p := range g.spare[0][:cap(g.spare[0])] {
-		if p != nil {
-			t.Fatal("a spare reader list still holds a forgotten task")
-		}
-	}
-	// A new writer of datum 1 waits for nobody; a new reader reuses the
-	// spare list.
+	// A new writer of datum 1 waits for nobody.
 	w2 := mkTask(3, nil, []Token{1})
 	g.Submit(w2)
 	if w2.State() != Ready || len(w2.Preds()) != 0 {
@@ -525,8 +519,8 @@ func TestForget(t *testing.T) {
 	}
 	r3 := mkTask(4, []Token{1}, nil)
 	g.Submit(r3)
-	if len(g.spare) != 0 {
-		t.Fatal("the spare reader list was not reused")
+	if r3.State() != Waiting || len(r3.Preds()) != 1 || r3.Preds()[0] != w2 {
+		t.Fatalf("reader after Forget: %v, preds %v", r3, r3.Preds())
 	}
 	mustPanic("a live writer and reader")
 }

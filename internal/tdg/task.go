@@ -92,10 +92,12 @@ type Task struct {
 	Job int
 
 	state State
-	preds []*Task
-	succs []*Task
-	nwait int    // unresolved predecessor count
-	mark  uint64 // graph-epoch stamp for allocation-free submission dedup
+	// preds and the succs list live in the store the task was submitted
+	// into (see Store); succs is in edge insertion order.
+	preds           []*Task
+	succs, lastSucc *link
+	nwait           int    // unresolved predecessor count
+	mark            uint64 // graph-epoch stamp for allocation-free submission dedup
 
 	// Timeline bookkeeping, filled by the runtime.
 	SubmittedAt sim.Time
@@ -112,9 +114,15 @@ func (t *Task) State() State { return t.state }
 // The returned slice is owned by the graph; callers must not modify it.
 func (t *Task) Preds() []*Task { return t.preds }
 
-// Succs returns the successor tasks. The returned slice is owned by the
-// graph; callers must not modify it.
-func (t *Task) Succs() []*Task { return t.succs }
+// Succs returns the successor tasks, in edge insertion order, in a new
+// slice.
+func (t *Task) Succs() []*Task {
+	var out []*Task
+	for l := t.succs; l != nil; l = l.next {
+		out = append(out, l.task)
+	}
+	return out
+}
 
 // Duration returns the task's execution time at frequency f, excluding
 // IOTime: cycles at f plus the frequency-invariant memory time.
