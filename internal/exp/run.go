@@ -216,7 +216,11 @@ type programHolder struct {
 }
 
 // Run executes one simulation and harvests its measurement.
-func Run(spec RunSpec) (Measurement, error) {
+func Run(spec RunSpec) (Measurement, error) { return run(spec, nil) }
+
+// run is Run with a closed run's workload program taken from shared, a
+// sweep's shared build of it, when shared is non-nil.
+func run(spec RunSpec, shared *sharedProgram) (Measurement, error) {
 	spec = spec.withDefaults()
 	if err := spec.CheckSizes(); err != nil {
 		return Measurement{}, fmt.Errorf("%v: %w", spec, err)
@@ -226,11 +230,15 @@ func Run(spec RunSpec) (Measurement, error) {
 	}
 	prog := spec.Program
 	if prog == nil {
-		p, err := workloads.Build(spec.Workload, spec.Seed, spec.Scale)
+		var err error
+		if shared != nil {
+			prog, err = shared.get(spec)
+		} else {
+			prog, err = workloads.Build(spec.Workload, spec.Seed, spec.Scale)
+		}
 		if err != nil {
 			return Measurement{}, err
 		}
-		prog = p
 	}
 	return runWith(spec, programHolder{prog: prog})
 }
