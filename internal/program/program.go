@@ -34,16 +34,36 @@ type Item struct {
 }
 
 // Program is a whole application: its name and the master thread's
-// creation sequence.
+// creation sequence. The zero Program is empty and ready to use.
 type Program struct {
 	Name  string
 	Items []Item
+
+	// specs is the unused rest of the chunk AddTask carves task specs
+	// from. A chunk never grows, so the specs it holds never move.
+	specs []TaskSpec
 }
 
-// AddTask appends a task creation.
+// Chunk bounds for AddTask: each new chunk holds half as many specs as
+// the program has items so far, at least minSpecChunk and at most
+// maxSpecChunk. Chunks grow geometrically without ever moving a spec,
+// and a program of more than 32 tasks leaves under a third of the specs
+// it allocates unused.
+const (
+	minSpecChunk = 16
+	maxSpecChunk = 1024
+)
+
+// AddTask appends a task creation, copying spec into storage the
+// program owns.
 func (p *Program) AddTask(spec TaskSpec) {
-	s := spec
-	p.Items = append(p.Items, Item{Task: &s})
+	if len(p.specs) == 0 {
+		p.specs = make([]TaskSpec, min(max(len(p.Items)/2, minSpecChunk), maxSpecChunk))
+	}
+	s := &p.specs[0]
+	p.specs = p.specs[1:]
+	*s = spec
+	p.Items = append(p.Items, Item{Task: s})
 }
 
 // AddBarrier appends a taskwait.

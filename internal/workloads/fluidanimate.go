@@ -96,6 +96,7 @@ func (Fluidanimate) Build(seed uint64, scale float64) *program.Program {
 				for y := 0; y < g; y++ {
 					var ins []tdg.Token
 					if subphase > 0 {
+						ins = make([]tdg.Token, 0, 9)
 						for dx := -1; dx <= 1; dx++ {
 							for dy := -1; dy <= 1; dy++ {
 								nx, ny := x+dx, y+dy
