@@ -33,8 +33,12 @@ var (
 		"Core accelerations granted by the reconfiguration layer (RSM/RSU).")
 	mAccelDenied = metrics.NewCounter("cata_accel_denied_total",
 		"Task starts that ran non-accelerated because the power budget was exhausted.")
-	mBudgetUtil = metrics.NewGauge("cata_power_budget_utilization",
-		"Last completed run's time-averaged accelerated cores / budget, in [0,1].")
+	// Per-run values are histograms, not gauges: a sweep completes runs
+	// in parallel, so a "last run" gauge would hold whichever finished
+	// last.
+	mBudgetUtil = metrics.NewHistogram("cata_power_budget_utilization",
+		"Per-run time-averaged accelerated cores / budget, in [0,1], of runs that accelerate.",
+		[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1})
 
 	// Open-system traffic telemetry: per-job observations arrive live
 	// from the simulation's admission and completion callbacks, the
@@ -45,10 +49,12 @@ var (
 		"Open-system arrivals dropped by the in-system cap.")
 	mOpenMissed = metrics.NewCounter("cata_opensys_deadline_missed_total",
 		"Open-system jobs that completed past their deadline.")
-	mOpenPeak = metrics.NewGauge("cata_opensys_peak_in_system",
-		"Last open-system run's peak concurrently in-system jobs.")
-	mOpenP99 = metrics.NewGauge("cata_opensys_p99_response_seconds",
-		"Last open-system run's 99th-percentile job response time.")
+	mOpenPeak = metrics.NewHistogram("cata_opensys_peak_in_system",
+		"Per-run peak concurrently in-system jobs of open-system runs.",
+		metrics.ExpBuckets(1, 2, 12))
+	mOpenP99 = metrics.NewHistogram("cata_opensys_p99_response_seconds",
+		"Per-run 99th-percentile job response time (simulated) of open-system runs.",
+		metrics.ExpBuckets(1e-6, 10, 8))
 	mOpenResponse = metrics.NewHistogram("cata_opensys_response_seconds",
 		"Per-job response times (simulated) across all open-system runs.",
 		metrics.ExpBuckets(1e-6, 10, 8))
@@ -71,12 +77,12 @@ func observeRun(m Measurement, eventsFired uint64, elapsed time.Duration) {
 	mAccelGranted.Add(float64(m.AccelsGranted))
 	mAccelDenied.Add(float64(m.AccelsDenied))
 	if m.BudgetUtilization > 0 {
-		mBudgetUtil.Set(m.BudgetUtilization)
+		mBudgetUtil.Observe(m.BudgetUtilization)
 	}
 	if m.Open != nil {
 		mOpenJobs.Add(float64(m.Open.JobsArrived))
 		mOpenMissed.Add(float64(m.Open.DeadlineMissed))
-		mOpenPeak.Set(float64(m.Open.PeakInSystem))
-		mOpenP99.Set(m.Open.P99.Seconds())
+		mOpenPeak.Observe(float64(m.Open.PeakInSystem))
+		mOpenP99.Observe(m.Open.P99.Seconds())
 	}
 }

@@ -450,13 +450,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if d := delta(`cata_job_duration_seconds_count`); d < 2 {
 		t.Errorf("job-duration observations delta = %v, want >= 2", d)
 	}
-	// Presence-only: gauges and derived rates whose values depend on
-	// timing, not on this test's traffic.
+	// Presence-only: gauges, derived rates and histograms whose values
+	// depend on timing, not on this test's traffic.
 	for _, name := range []string{
 		"cata_jobs_queue_depth",
 		"cata_jobs_running",
 		"cata_sim_events_per_sec",
-		"cata_power_budget_utilization",
+		"cata_power_budget_utilization_count",
 	} {
 		if _, ok := after[name]; !ok {
 			t.Errorf("metric %s missing from exposition", name)
