@@ -95,13 +95,15 @@ opensys-smoke:
 # Runs each fuzz target for a bounded budget: the internal/sim engine
 # harness (arena/heap invariants vs a reference engine), the
 # internal/spec parser (no panics, canonical-form round trips, registry
-# acceptance unchanged by canonicalization) and catad's JSON admission
+# acceptance unchanged by canonicalization), catad's JSON admission
 # in internal/server (no panics, admitted configs are encoding fixed
-# points). go test -fuzz takes one package at a time.
+# points) and the internal/tdg DOT reader (no panics, accepted graphs
+# have in-range predecessors). go test -fuzz takes one package at a time.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/spec
 	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run=NONE -fuzz=Fuzz -fuzztime=$(FUZZTIME) ./internal/tdg
 
 # Captures a statement-coverage profile across every package.
 cover:
