@@ -85,15 +85,15 @@ func TestBenchAllocs(t *testing.T) {
 		pin  float64
 		op   func() error
 	}{
-		{"figure4", 284685, func() error { return figureMatrix(cata.Fig4Policies()) }},
-		{"figure5", 285386, func() error { return figureMatrix(cata.Fig5Policies()) }},
-		{"blackscholes", 1336, func() error { return workloadRun("blackscholes") }},
-		{"swaptions", 1001, func() error { return workloadRun("swaptions") }},
-		{"fluidanimate", 14243, func() error { return workloadRun("fluidanimate") }},
-		{"bodytrack", 2280, func() error { return workloadRun("bodytrack") }},
-		{"dedup", 2361, func() error { return workloadRun("dedup") }},
-		{"ferret", 2787, func() error { return workloadRun("ferret") }},
-		{"open-soak", 10892, openSoakRun},
+		{"figure4", 50453, func() error { return figureMatrix(cata.Fig4Policies()) }},
+		{"figure5", 51208, func() error { return figureMatrix(cata.Fig5Policies()) }},
+		{"blackscholes", 707, func() error { return workloadRun("blackscholes") }},
+		{"swaptions", 704, func() error { return workloadRun("swaptions") }},
+		{"fluidanimate", 2436, func() error { return workloadRun("fluidanimate") }},
+		{"bodytrack", 1106, func() error { return workloadRun("bodytrack") }},
+		{"dedup", 1210, func() error { return workloadRun("dedup") }},
+		{"ferret", 1306, func() error { return workloadRun("ferret") }},
+		{"open-soak", 4198, openSoakRun},
 	}
 	for _, p := range pins {
 		var err error
