@@ -7,9 +7,26 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cata/internal/batch"
 	"cata/internal/program"
 	"cata/internal/workloads"
 )
+
+// held counts the table's entries that hold a built program, and the
+// ones built at all.
+func held(t sharedPrograms) (n, built int) {
+	for _, e := range t {
+		e.mu.Lock()
+		if e.built {
+			built++
+			if e.uses > 0 {
+				n++
+			}
+		}
+		e.mu.Unlock()
+	}
+	return n, built
+}
 
 // exportJSON returns a program's JSON trace.
 func exportJSON(t *testing.T, p *program.Program) []byte {
@@ -71,8 +88,8 @@ func TestSharedProgramUnchanged(t *testing.T) {
 		}
 		e.release()
 	}
-	if shared.builds != len(built) || shared.live != 0 {
-		t.Errorf("%d builds of %d programs, %d held after the sweep", shared.builds, len(built), shared.live)
+	if n, b := held(shared); n != 0 || b != len(built) {
+		t.Errorf("%d of %d programs built, %d held after the sweep", b, len(built), n)
 	}
 
 	for i, r := range rs {
@@ -101,11 +118,12 @@ func TestSharedProgramUnchanged(t *testing.T) {
 }
 
 // TestSweepProgramsBoundedByParallelism: a sweep holds at most
-// Parallelism+1 shared programs at once, builds each once, and holds
-// none when it ends, however many programs it names. That includes a
-// resumed sweep whose cache serves part of each program's runs. The
-// specs list each workload's seeds innermost, as a matrix does, so a
-// sweep that ran them in spec order would hold 50 programs at once.
+// Parallelism+1 shared programs at once, and none when it ends, however
+// many programs it names. That includes a resumed sweep whose cache
+// serves part of each program's runs. The programs held are counted at
+// every completed run. The specs list each workload's seeds innermost,
+// as a matrix does, so a sweep that ran them in spec order would hold
+// 50 programs at once.
 func TestSweepProgramsBoundedByParallelism(t *testing.T) {
 	const par = 2
 	specsOf := func(policies ...Policy) []RunSpec {
@@ -125,6 +143,11 @@ func TestSweepProgramsBoundedByParallelism(t *testing.T) {
 		t.Helper()
 		shared, order := sharePrograms(specs)
 		opts.Parallelism = par
+		peak := 0
+		opts.Observe = func(batch.Event) {
+			n, _ := held(shared)
+			peak = max(peak, n)
+		}
 		rs, err := sweep(context.Background(), specs, opts, shared, order)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -134,10 +157,11 @@ func TestSweepProgramsBoundedByParallelism(t *testing.T) {
 				t.Fatalf("%s: %v: %v", name, r.Spec, r.Err)
 			}
 		}
-		t.Logf("%s: %d runs, %d programs built, at most %d held at once", name, len(specs), shared.builds, shared.peak)
-		if shared.builds != wantBuilds || shared.peak > par+1 || shared.live != 0 {
+		end, builds := held(shared)
+		t.Logf("%s: %d runs, %d programs built, at most %d held at once", name, len(specs), builds, peak)
+		if builds != wantBuilds || peak > par+1 || end != 0 {
 			t.Errorf("%s: %d programs built (want %d), at most %d held at once (want <= %d), %d held at the end",
-				name, shared.builds, wantBuilds, shared.peak, par+1, shared.live)
+				name, builds, wantBuilds, peak, par+1, end)
 		}
 	}
 	programs := 50 * len(workloads.Names())

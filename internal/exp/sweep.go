@@ -65,7 +65,7 @@ func Sweep(ctx context.Context, specs []RunSpec, opts SweepOptions) ([]RunResult
 
 // sweep is Sweep with the specs run in the given order, a permutation
 // of their indices, and closed runs' programs taken from shared.
-func sweep(ctx context.Context, specs []RunSpec, opts SweepOptions, shared *sharedPrograms, order []int) ([]RunResult, error) {
+func sweep(ctx context.Context, specs []RunSpec, opts SweepOptions, shared sharedPrograms, order []int) ([]RunResult, error) {
 	cache := opts.Cache
 	if cache == nil && opts.CachePath != "" {
 		c, err := batch.Open(opts.CachePath)
@@ -144,13 +144,7 @@ func sweep(ctx context.Context, specs []RunSpec, opts SweepOptions, shared *shar
 // and drops its program at zero, and the sweep dispatches each entry's
 // runs together, so the programs held at once are bounded by the
 // parallelism plus one, whatever the sweep's size, cache hits included.
-type sharedPrograms struct {
-	entries map[programKey]*sharedProgram // read-only once built
-
-	mu         sync.Mutex
-	live, peak int // programs held now, and at most
-	builds     int
-}
+type sharedPrograms map[programKey]*sharedProgram
 
 // programKey names one shareable program.
 type programKey struct {
@@ -162,7 +156,7 @@ type programKey struct {
 // sharedProgram is one entry: a program built once for the runs that
 // name it.
 type sharedProgram struct {
-	table *sharedPrograms
+	group int // index of the entry's runs among the dispatch groups
 
 	mu    sync.Mutex
 	uses  int // runs that have yet to release the entry
@@ -184,26 +178,23 @@ func shareKey(s RunSpec) (programKey, bool) {
 // sharePrograms builds the table for specs and the order to run them
 // in: the specs grouped by program, groups in order of first
 // appearance, specs in their order within a group.
-func sharePrograms(specs []RunSpec) (*sharedPrograms, []int) {
-	t := &sharedPrograms{entries: make(map[programKey]*sharedProgram)}
+func sharePrograms(specs []RunSpec) (sharedPrograms, []int) {
+	t := sharedPrograms{}
 	var groups [][]int
-	group := make(map[programKey]int)
 	for i, s := range specs {
 		k, ok := shareKey(s)
 		if !ok {
 			groups = append(groups, []int{i})
 			continue
 		}
-		e := t.entries[k]
+		e := t[k]
 		if e == nil {
-			e = &sharedProgram{table: t}
-			t.entries[k] = e
-			group[k] = len(groups)
+			e = &sharedProgram{group: len(groups)}
+			t[k] = e
 			groups = append(groups, nil)
 		}
 		e.uses++
-		g := group[k]
-		groups[g] = append(groups[g], i)
+		groups[e.group] = append(groups[e.group], i)
 	}
 	order := make([]int, 0, len(specs))
 	for _, g := range groups {
@@ -213,12 +204,12 @@ func sharePrograms(specs []RunSpec) (*sharedPrograms, []int) {
 }
 
 // of returns the entry of a spec's program, nil for specs without one.
-func (t *sharedPrograms) of(s RunSpec) *sharedProgram {
+func (t sharedPrograms) of(s RunSpec) *sharedProgram {
 	k, ok := shareKey(s)
 	if !ok {
 		return nil
 	}
-	return t.entries[k]
+	return t[k]
 }
 
 // get returns the entry's program for spec, which has defaults
@@ -229,12 +220,6 @@ func (e *sharedProgram) get(spec RunSpec) (*program.Program, error) {
 	if !e.built {
 		e.prog, e.err = workloads.Build(spec.Workload, spec.Seed, spec.Scale)
 		e.built = true
-		t := e.table
-		t.mu.Lock()
-		t.builds++
-		t.live++
-		t.peak = max(t.peak, t.live)
-		t.mu.Unlock()
 	}
 	return e.prog, e.err
 }
@@ -248,12 +233,8 @@ func (e *sharedProgram) release() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.uses--
-	if e.uses == 0 && e.built {
+	if e.uses == 0 {
 		e.prog, e.err = nil, nil
-		t := e.table
-		t.mu.Lock()
-		t.live--
-		t.mu.Unlock()
 	}
 }
 
